@@ -432,8 +432,8 @@ func BenchmarkFaultInjection(b *testing.B) {
 	})
 }
 
-// BenchmarkModelCheckerScaling measures state-space exploration itself,
-// sequentially (workers=1, the allocation-optimized path).
+// BenchmarkModelCheckerScaling measures state-space exploration itself at
+// workers=1, where the exploration phases run inline on one goroutine.
 func BenchmarkModelCheckerScaling(b *testing.B) {
 	cases := []struct {
 		name string
@@ -572,9 +572,8 @@ func BenchmarkAnalyses(b *testing.B) {
 // full dihedral group of order 2n applies and the quotient must shrink the
 // space by at least n× (the acceptance floor; the observed factor grows
 // with n because larger rings have fewer states fixed by any symmetry).
-// Each op is one full exploration on the allocation-optimized sequential
-// path; the "states" metric is the explored count and "reduction-x" the
-// plain/quotient ratio.
+// Each op is one full exploration at workers=1; the "states" metric is the
+// explored count and "reduction-x" the plain/quotient ratio.
 func BenchmarkSymmetry(b *testing.B) {
 	prog, err := algo.New("LR1", algo.Options{})
 	if err != nil {
@@ -619,10 +618,11 @@ func BenchmarkSymmetry(b *testing.B) {
 
 // BenchmarkParallelExplore compares the level-synchronous BFS on the largest
 // model-checked instance (Theorem 1 on GDP1, ~64k states) across the
-// (workers, shards) grid: the sequential single-shard baseline, the parallel
-// expansion funneled through one shard, and the fully sharded configuration
-// in which interning and row-writing are parallel per shard too. The dense
-// view of every explored space is identical; only wall-clock differs.
+// (workers, shards) grid: the single-worker single-shard baseline, the
+// parallel expansion funneled through one shard, and the fully sharded
+// configuration in which interning and row-writing are parallel per shard
+// too. The dense view of every explored space is identical; only wall-clock
+// differs.
 func BenchmarkParallelExplore(b *testing.B) {
 	prog, err := algo.New("GDP1", algo.Options{})
 	if err != nil {

@@ -41,6 +41,16 @@ import (
 	"repro/internal/serve"
 )
 
+// Server timeouts. ReadHeaderTimeout stops a client that opens a
+// connection and never finishes its request headers from holding it (and a
+// goroutine) forever; IdleTimeout closes keep-alive connections left idle
+// between requests. There is deliberately no WriteTimeout: /v1/* responses
+// stream NDJSON for as long as a check, trial run or sweep takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	cfg := cli.Config{Addr: ":8099", Drain: 15 * time.Second}
 	cfg.Register(flag.CommandLine, cli.FlagWorkers|cli.FlagShards|cli.FlagServe)
@@ -73,7 +83,11 @@ func run(cfg *cli.Config) error {
 	}
 	fmt.Printf("dpserve: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

@@ -54,15 +54,16 @@ func WithScheduler(name string) Option { return func(c *config) { c.scheduler = 
 // streamed trials deterministic at any worker count.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers bounds the number of goroutines used by Trials, Repeat and
-// Sweep (0 = one per CPU, 1 = sequential). Results are identical for every
-// value.
+// WithWorkers bounds the number of goroutines used by Trials, Repeat,
+// Sweep and the exploration phases of Check and ModelCheck (0 = one per CPU;
+// 1 runs everything on the calling goroutine). Results are identical for
+// every value.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithShards splits the state-space store of Check and ModelCheck
 // explorations into 2^k independently-owned shards, so exploration workers
-// intern and append states without a sequential per-level merge (rounded up
-// to a power of two; 0 = match the worker count). Results — state counts,
+// intern and append states without a global per-level merge (rounded up to
+// a power of two; 0 = match the worker count). Results — state counts,
 // verdicts, counterexample traces — are identical for every value; only
 // wall-clock and memory layout change.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }

@@ -75,10 +75,13 @@
 // worker count). Each shard holds its own intern table, key arena and flat
 // transition arrays; a state lives in the shard selected by a deterministic
 // FNV-1a hash of its canonical key, addressed by the packed id
-// shard<<25 | local. The level-synchronous parallel BFS writes every shard
-// from exactly one goroutine per phase — expansion and frontier assembly are
+// shard<<25 | local. The level-synchronous BFS writes every shard from
+// exactly one goroutine per phase — expansion and frontier assembly are
 // parallel over chunks, interning and row-writing are parallel over shards —
-// so there are no locks and no sequential per-level merge. On top of the
+// so there are no locks and no global per-level merge. It is the only
+// exploration path: with one worker the same phases run inline on the
+// calling goroutine, and a state cap cuts the final level at the state a
+// state-by-state BFS would stop at. On top of the
 // shards sits the dense view: states renumbered in breadth-first discovery
 // order, which is provably the same numbering for every (workers, shards)
 // combination, so state counts, verdicts, witnesses and counterexample

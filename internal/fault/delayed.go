@@ -46,7 +46,7 @@ func newDelayedGrants(cfg Config) (Model, error) {
 	}
 	rates := []float64{0.1, 2}
 	copy(rates, cfg.Rates)
-	if r := rates[0]; r < 0 || r > 1 {
+	if r := rates[0]; !(r >= 0 && r <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("fault: delayed-grants rate is %v, want a probability in [0, 1]", r)
 	}
 	k := rates[1]

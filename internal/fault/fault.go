@@ -214,7 +214,7 @@ func checkRates(name string, rates, defaults []float64) ([]float64, error) {
 	}
 	out := append([]float64(nil), defaults...)
 	for i, r := range rates {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("fault: %s rate %d is %v, want a probability in [0, 1]", name, i, r)
 		}
 		out[i] = r

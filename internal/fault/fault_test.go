@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,23 +30,29 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+// roundTripSpecs are accepted specs with their canonical Spec(), defaults
+// resolved.
+var roundTripSpecs = []struct {
+	spec string // input
+	want string // canonical Spec() with defaults resolved
+}{
+	{"crash-rejoin", "crash-rejoin:0.05,0.5"},
+	{"crash-rejoin:0.1", "crash-rejoin:0.1,0.5"},
+	{"crash-rejoin:0.1,0.25", "crash-rejoin:0.1,0.25"},
+	{"freeze", "freeze:0.05"},
+	{"freeze:0.2@2,0", "freeze:0.2@0,2"},
+	{"lossy-grants:0.25@1", "lossy-grants:0.25@1"},
+	{" lossy-grants ", "lossy-grants:0.1"},
+	{"delayed-grants", "delayed-grants:0.1,2"},
+	{"delayed-grants:0.25", "delayed-grants:0.25,2"},
+	{"delayed-grants:0.25,3@2,0", "delayed-grants:0.25,3@0,2"},
+}
+
+// rejectedSpecs are syntactically malformed specs.
+var rejectedSpecs = []string{"", ":0.1", "@1", "freeze:nope", "freeze@x", "freeze:0.1@1.5"}
+
 func TestParseSpecRoundTrip(t *testing.T) {
-	cases := []struct {
-		spec string // input
-		want string // canonical Spec() with defaults resolved
-	}{
-		{"crash-rejoin", "crash-rejoin:0.05,0.5"},
-		{"crash-rejoin:0.1", "crash-rejoin:0.1,0.5"},
-		{"crash-rejoin:0.1,0.25", "crash-rejoin:0.1,0.25"},
-		{"freeze", "freeze:0.05"},
-		{"freeze:0.2@2,0", "freeze:0.2@0,2"},
-		{"lossy-grants:0.25@1", "lossy-grants:0.25@1"},
-		{" lossy-grants ", "lossy-grants:0.1"},
-		{"delayed-grants", "delayed-grants:0.1,2"},
-		{"delayed-grants:0.25", "delayed-grants:0.25,2"},
-		{"delayed-grants:0.25,3@2,0", "delayed-grants:0.25,3@0,2"},
-	}
-	for _, tc := range cases {
+	for _, tc := range roundTripSpecs {
 		m, err := NewFromSpec(tc.spec)
 		if err != nil {
 			t.Errorf("NewFromSpec(%q): %v", tc.spec, err)
@@ -68,11 +75,53 @@ func TestParseSpecRoundTrip(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, spec := range []string{"", ":0.1", "@1", "freeze:nope", "freeze@x", "freeze:0.1@1.5"} {
+	for _, spec := range rejectedSpecs {
 		if _, _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded", spec)
 		}
 	}
+}
+
+// FuzzParseSpec feeds arbitrary strings to NewFromSpec, the parser behind
+// the -faults flag, sweep fault axes and dpserve requests. It must never
+// panic; every accepted spec must name a registered model with finite
+// parameters, and its canonical Spec() must be accepted again and render to
+// the same spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, tc := range roundTripSpecs {
+		f.Add(tc.spec)
+	}
+	for _, spec := range rejectedSpecs {
+		f.Add(spec)
+	}
+	f.Add("freeze:NaN")
+	f.Add("crash-rejoin:1e309,0.5@3")
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := NewFromSpec(spec)
+		if err != nil {
+			return
+		}
+		canon := m.Spec()
+		name, cfg, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("NewFromSpec(%q) accepted, but its Spec() %q does not parse: %v", spec, canon, err)
+		}
+		if name != m.Name() {
+			t.Fatalf("NewFromSpec(%q).Spec() = %q names %q, want %q", spec, canon, name, m.Name())
+		}
+		for _, r := range cfg.Rates {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				t.Fatalf("NewFromSpec(%q) accepted the non-finite parameter %v", spec, r)
+			}
+		}
+		again, err := NewFromSpec(canon)
+		if err != nil {
+			t.Fatalf("NewFromSpec(%q) accepted, but its Spec() %q is rejected: %v", spec, canon, err)
+		}
+		if again.Spec() != canon {
+			t.Fatalf("NewFromSpec(%q).Spec() = %q drifted to %q on the round trip", spec, canon, again.Spec())
+		}
+	})
 }
 
 func TestConstructorValidation(t *testing.T) {

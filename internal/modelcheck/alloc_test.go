@@ -1,6 +1,8 @@
 package modelcheck
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/algo"
@@ -65,45 +67,62 @@ func TestAnalysesAllocBudget(t *testing.T) {
 	}
 }
 
-// TestExploreAllocsPerState is the allocation-regression guard for the
-// sequential (workers=1, shards=1) exploration path. The intern-key
-// byte-arena (one amortized chunk instead of one string copy per state) and
-// the frontier world free-list (revisit clones and expanded frontier worlds
-// recycle their backing slices) brought Explore from ~6 allocations per
-// state down to under 2; this test pins that budget so a refactor that
-// reintroduces per-state copies shows up immediately.
+// TestExploreAllocsPerState is the allocation-regression guard for
+// exploration. At workers=1 the phases run inline with no goroutines; the
+// shard key arena (one amortized chunk instead of one string copy per
+// state) and the world free-list (each created world reuses the backing
+// slices of an expanded frontier world) bring Explore under 2 allocations
+// per state. The workers=2/shards=2 cells pin the parallel path on
+// instances large enough for per-state costs to dominate the per-level
+// goroutine start-ups: no per-state key copy, no per-level dedupe map, and
+// flat arrays grown at least 2× (append grows large slices by only 1.25×).
+// Their bytes/state bounds sit about 10 % above the measured values
+// (t1min/GDP1: 632 B/state and 0.69 allocs/state; ring-3/LR2: 414 B/state).
 func TestExploreAllocsPerState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting skipped in -short mode")
 	}
-	const maxAllocsPerState = 2.5
 	for _, tc := range []struct {
-		topo *graph.Topology
-		alg  string
+		topo            *graph.Topology
+		alg             string
+		workers, shards int
+		maxAllocs       float64 // per state
+		maxBytes        float64 // per state; 0 = unbounded
 	}{
-		{graph.Ring(3), "LR1"},
-		{graph.Theorem2Minimal(), "LR1"},
-		{graph.Theorem2Minimal(), "GDP1"},
+		{graph.Ring(3), "LR1", 1, 1, 2.5, 0},
+		{graph.Theorem2Minimal(), "LR1", 1, 1, 2.5, 0},
+		{graph.Theorem2Minimal(), "GDP1", 1, 1, 2.5, 0},
+		{graph.Theorem1Minimal(), "GDP1", 2, 2, 1.0, 695},
+		{graph.Ring(3), "LR2", 2, 2, 1.0, 455},
 	} {
 		prog, err := algo.New(tc.alg, algo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := Explore(tc.topo, prog, Options{Workers: 1, Shards: 1})
+		opts := Options{Workers: tc.workers, Shards: tc.shards}
+		ss, err := Explore(tc.topo, prog, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		states := float64(ss.NumStates())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := Explore(tc.topo, prog, Options{Workers: 1, Shards: 1}); err != nil {
+			if _, err := Explore(tc.topo, prog, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up run before the three it counts.
+		bytesPerState := float64(after.TotalAlloc-before.TotalAlloc) / 4 / states
 		perState := allocs / states
-		t.Logf("%s on %s: %.0f states, %.0f allocs, %.2f allocs/state", tc.alg, tc.topo.Name(), states, allocs, perState)
-		if perState > maxAllocsPerState {
-			t.Errorf("%s on %s: %.2f allocs/state exceeds the %.1f budget",
-				tc.alg, tc.topo.Name(), perState, maxAllocsPerState)
+		cell := fmt.Sprintf("%s on %s (workers=%d, shards=%d)", tc.alg, tc.topo.Name(), tc.workers, tc.shards)
+		t.Logf("%s: %.0f states, %.0f allocs, %.2f allocs/state, %.0f B/state", cell, states, allocs, perState, bytesPerState)
+		if perState > tc.maxAllocs {
+			t.Errorf("%s: %.2f allocs/state exceeds the %.1f budget", cell, perState, tc.maxAllocs)
+		}
+		if tc.maxBytes > 0 && bytesPerState > tc.maxBytes {
+			t.Errorf("%s: %.0f B/state exceeds the %.0f budget", cell, bytesPerState, tc.maxBytes)
 		}
 	}
 }

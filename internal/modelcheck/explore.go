@@ -29,17 +29,18 @@
 // arena and flat trans/succs/probs arrays; a state belongs to the shard
 // selected by a deterministic FNV-1a hash of its canonical key, and its
 // shard-internal address is the packed id shard<<localBits | local. During
-// parallel exploration every shard is written by exactly one goroutine, so
-// interning and appending need no locks and no single sequential merge.
+// exploration every shard is written by exactly one goroutine at a time, so
+// interning and appending need no locks and no global merge.
 //
 // On top of the shards sits the dense view: states are also numbered
 // 0..NumStates-1 in exploration (breadth-first discovery) order, which is
 // the numbering every exported method and analysis uses. The dense order is
 // identical for every (workers, shards) combination — it equals the
-// sequential exploration's numbering — so verdicts, witnesses and
-// counterexample traces never depend on how the exploration was
-// parallelized; only the internal shard layout does, and the remap test in
-// golden_test.go pins the correspondence.
+// numbering of a state-by-state breadth-first search — so verdicts,
+// witnesses and counterexample traces never depend on how the exploration
+// was parallelized; only the internal shard layout does. The tests in
+// golden_test.go pin both against the reference exploration in
+// modelchecktest.
 //
 // # Exploration order and parallelism
 //
@@ -48,30 +49,39 @@
 //
 //  1. Expand: workers expand disjoint contiguous chunks of the level against
 //     the read-only shard intern tables and record, per chunk, the outcome
-//     probabilities and successor references (dense ids for known states,
-//     pending indices for locally new ones).
+//     probabilities and successor references: dense ids for known states,
+//     pending entries (key bytes and origin) for the others.
 //  2. Intern: one goroutine per shard replays every chunk's pending keys in
-//     (chunk, first-encounter) order and interns the ones hashing to its
-//     shard, assigning packed ids — disjoint shards, no lock, no global
-//     merge.
+//     (chunk, encounter) order and interns the ones hashing to its shard,
+//     assigning packed ids and copying each created state's key into the
+//     shard's key arena — disjoint shards, no lock, no global merge. The
+//     first entry of a key creates its state; later entries resolve to it.
 //  3. Gather: workers assign the new states their dense ids — the (chunk,
-//     first-encounter) order is exactly the order the sequential exploration
-//     discovers them in — record state labels, and build the next frontier.
+//     encounter) order of the creating entries is exactly breadth-first
+//     discovery order — rebuild their worlds, record state labels, and
+//     build the next frontier.
 //  4. Rows: one goroutine per shard writes the transition rows of the level
 //     states it owns, in frontier order, resolving pending references
 //     through the intern results.
 //
-// The sequential path (workers = 1, shards = 1) is the same order executed
-// inline with no phases. A level that could cross Options.MaxStates is
-// merged by a single goroutine in global frontier order instead, so
-// truncated explorations stop at exactly the state the sequential
-// exploration stops at; this endgame runs at most once, on the final level.
+// There is one code path for every (workers, shards) pair: at workers = 1
+// the phases run inline on the calling goroutine. Duplicates within a level
+// are resolved by the intern phase alone, so the expand phase keeps only the
+// key bytes of a locally new successor, and the gather phase recomputes the
+// world of each state that was actually created from its parent.
+//
+// A level whose creations would cross Options.MaxStates is cut between the
+// intern and gather phases: prefix sums of the per-frontier-state created
+// counts give the first frontier state after whose expansion the cap is
+// crossed, the creations of later frontier states are withdrawn from their
+// shards, and only the states up to the cut are expanded. This is the point
+// at which a state-by-state breadth-first search stops, for every (workers,
+// shards) pair.
 package modelcheck
 
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -104,14 +114,14 @@ type Options struct {
 	// non-nil return aborts Explore with that error. It is how context
 	// cancellation reaches the exploration loop.
 	Interrupt func() error
-	// Workers bounds the exploration goroutines (0 = one per CPU,
-	// 1 = sequential). The explored space is identical for every value; only
-	// wall-clock changes.
+	// Workers bounds the exploration goroutines (0 = one per CPU; 1 runs
+	// every phase inline on the calling goroutine). The explored space is
+	// identical for every value; only wall-clock changes.
 	Workers int
 	// Shards is the number of independently-owned state stores (rounded up
 	// to a power of two, capped at MaxShards; 0 = match the resolved worker
-	// count). Workers intern and append into disjoint shards, removing the
-	// sequential per-level merge; the dense state numbering — and therefore
+	// count). Workers intern and append into disjoint shards, with no
+	// global per-level merge; the dense state numbering — and therefore
 	// every analysis, verdict and counterexample — is identical for every
 	// value. Negative values are an error.
 	Shards int
@@ -318,10 +328,6 @@ type symSpace struct {
 	// orbit's representative world — the first-discovered concrete state.
 	// Retained only when Options.KeepKeys is also set.
 	repKeys []string
-	// repBuf is the sequential exploration path's scratch buffer for
-	// encoding representative keys; it lives here rather than on the
-	// explorer so the unreduced explorer carries no symmetry fields.
-	repBuf []byte
 }
 
 // Symmetric reports whether the space was explored under a symmetry quotient
@@ -374,21 +380,30 @@ func (ss *StateSpace) NumBadStates() int {
 	return n
 }
 
-// fnvShard hashes a canonical key with FNV-1a — a fixed, seedless hash, so
-// the shard layout is deterministic across runs and processes (unlike Go's
-// randomized map hash). One generic body serves both key representations;
-// exploration hashes the scratch []byte, tests and tools the interned
-// string.
+// fnvShard hashes a canonical key with FNV-1a over little-endian 64-bit
+// words (bytes for the tail) — a fixed, seedless hash, so the shard layout
+// is deterministic across runs and processes (unlike Go's randomized map
+// hash). Hashing words rather than bytes keeps the per-successor hash cheap
+// on the parallel path; the shard comes from the top bits, which every key
+// bit reaches through the multiplies. One generic body serves both key
+// representations; exploration hashes the scratch []byte, tests and tools
+// the interned string.
 func fnvShard[T ~string | ~[]byte](key T, mask uint32) uint32 {
 	if mask == 0 {
 		return 0
 	}
-	const prime = 16777619
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * prime
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	i := 0
+	for ; i+8 <= len(key); i += 8 {
+		w := uint64(key[i]) | uint64(key[i+1])<<8 | uint64(key[i+2])<<16 | uint64(key[i+3])<<24 |
+			uint64(key[i+4])<<32 | uint64(key[i+5])<<40 | uint64(key[i+6])<<48 | uint64(key[i+7])<<56
+		h = (h ^ w) * prime
 	}
-	return h & mask
+	for ; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime
+	}
+	return uint32(h>>58) & mask // MaxShards = 64 needs at most the top 6 bits
 }
 
 // shardOf returns the owning shard of a canonical key.
@@ -407,8 +422,13 @@ type byteArena struct {
 	buf []byte
 }
 
-// arenaChunkSize is the allocation unit of byteArena.
-const arenaChunkSize = 1 << 16
+// Chunk sizes of byteArena: the first chunk holds arenaMinChunk bytes and
+// each next one twice the previous, up to arenaChunkSize, so a small state
+// space does not pay for a full chunk.
+const (
+	arenaMinChunk  = 1 << 12
+	arenaChunkSize = 1 << 16
+)
 
 // intern copies b into the arena and returns a stable string view of it.
 func (a *byteArena) intern(b []byte) string {
@@ -416,11 +436,8 @@ func (a *byteArena) intern(b []byte) string {
 		return ""
 	}
 	if cap(a.buf)-len(a.buf) < len(b) {
-		size := arenaChunkSize
-		if len(b) > size {
-			size = len(b)
-		}
-		a.buf = make([]byte, 0, size)
+		size := min(max(2*cap(a.buf), arenaMinChunk), arenaChunkSize)
+		a.buf = make([]byte, 0, max(size, len(b)))
 	}
 	off := len(a.buf)
 	a.buf = append(a.buf, b...)
@@ -435,38 +452,55 @@ type frontEntry struct {
 	packed int32
 }
 
-// scratch is the reusable per-worker expansion state: key and outcome
-// buffers, a world free-list, and — for the parallel path — the recorded
-// expansion of the worker's chunk awaiting the per-shard merge phases.
+// pending is one successor that missed the shard index during expansion,
+// recorded in encounter order. Duplicates within a level are recorded once
+// per encounter; the intern phase resolves them. The fields are written
+// only by the expand phase, so the later phases read them concurrently.
+type pending struct {
+	// end is the end offset of the canonical key in scratch.pkeys; the key
+	// starts at the previous entry's end.
+	end int32
+	// parent is the chunk-local index of the frontier state, and phil and
+	// outcome the action and outcome, that produced the successor — enough
+	// for the gather phase to recompute its world.
+	parent, phil, outcome int32
+	// shard is the owning shard, hashed once at expansion.
+	shard uint8
+}
+
+// scratch is the reusable per-chunk state of the expand and gather phases:
+// key and outcome buffers, a world free-list, and the chunk's expansion
+// record awaiting the per-shard phases.
 type scratch struct {
 	keyBuf     []byte
 	obuf, sbuf []sim.Outcome
-	// free recycles protocol-clone worlds: revisited successors and expanded
-	// frontier worlds go back here and their backing slices are reused by the
-	// next clone. Disabled (noRecycle) under a custom hunger model, whose
-	// full clones carry metric slices the protocol-clone path must not reuse.
+	// tmp is the world each successor is computed into during expansion; a
+	// successor is never retained there, so one world per worker suffices.
+	tmp *sim.World
+	// free recycles protocol-clone worlds: the gather phase returns each
+	// frontier world once its last created child is built, and takes the
+	// created worlds from here. Disabled (noRecycle) under a custom hunger
+	// model, whose full clones carry metric slices the protocol-clone path
+	// must not reuse.
 	free      []*sim.World
 	noRecycle bool
+	// arena holds the representative keys the gather phase records under a
+	// symmetry quotient with Options.KeepKeys.
+	arena byteArena
 
-	// Parallel expansion record, flattened in (state, action, outcome) order.
-	counts []int32   // per (state, action): number of outcomes
-	probs  []float64 // per outcome: probability
-	refs   []int32   // per outcome: >= 0 dense state id, else ^pendingIdx
-	// Pending (locally new) states, in first-encounter order.
-	pkeys   []string     // canonical keys
-	pworlds []*sim.World // successor worlds
-	pshard  []uint8      // owning shard (hash computed once, at expansion)
-	created []bool       // set by the intern phase: this entry created its state
-	// resolve is the pending-index resolution scratch: the intern phase
-	// stores packed ids here; the sequential truncation endgame stores dense
-	// ids instead (only one of the two runs per level).
+	// Expansion record, flattened in (state, action, outcome) order.
+	counts    []int32   // per (state, action): number of outcomes
+	probs     []float64 // per outcome: probability
+	refs      []int32   // per outcome: >= 0 dense state id, else ^pending index
+	shardOuts []int     // per shard: outcomes of this chunk's states it owns
+	pkeys     []byte    // canonical keys of the pending entries, concatenated
+	pend      []pending
+	// Intern results, one per pending entry, each written by the owning
+	// shard's goroutine: resolve holds the packed id of the entry's state and
+	// created whether this entry created it.
 	resolve []int32
-	local   map[string]int32 // canonical key -> pending index, this level only
+	created []bool
 	err     error
-}
-
-func newScratch(noRecycle bool) *scratch {
-	return &scratch{noRecycle: noRecycle, local: make(map[string]int32)}
 }
 
 func (s *scratch) takeFree() *sim.World {
@@ -485,14 +519,35 @@ func (s *scratch) putFree(w *sim.World) {
 	}
 }
 
-// shardScratch is the per-shard merge-phase state.
+// key returns the canonical key of pending entry li.
+func (s *scratch) key(li int) []byte {
+	start := int32(0)
+	if li > 0 {
+		start = s.pend[li-1].end
+	}
+	return s.pkeys[start:s.pend[li].end]
+}
+
+// shardScratch is the per-shard intern-phase state.
 type shardScratch struct {
+	// arena holds the canonical keys of the shard's states; the intern
+	// phase copies only the keys of states it creates into it.
+	arena byteArena
 	// newPerChunk[ci] counts the states this shard created from chunk ci's
-	// pendings in the last intern phase; the gather phase prefix-sums these
-	// into dense-id bases.
-	newPerChunk []int32
+	// pendings in the last intern phase.
+	newPerChunk []int
 	err         error
 }
+
+// phase names one of the four per-level phases.
+type phase uint8
+
+const (
+	phaseExpand phase = iota
+	phaseIntern
+	phaseGather
+	phaseRows
+)
 
 // explorer carries the shared state of one Explore call.
 type explorer struct {
@@ -500,23 +555,29 @@ type explorer struct {
 	// opts is the caller's Options with every knob normalized in place —
 	// MaxStates resolved against the default, Symmetry trivial-group
 	// requests cleared to nil — so the explorer carries no duplicate
-	// resolved fields and keeps its pre-symmetry allocation size class.
+	// resolved fields.
 	opts      Options
 	protected map[graph.PhilID]bool
+	workers   int
 
-	// arena interns the sequential path's map keys in large chunks, so the
-	// per-state key string of the old explorer disappears. The parallel path
-	// uses the pending keys the workers already materialised.
-	arena byteArena
-	// zeroTrans is the reusable blank transition row appended per new state.
-	zeroTrans []transition
+	scratches []scratch      // one per chunk
+	shardScr  []shardScratch // one per shard
+	wg        sync.WaitGroup
 
-	// front holds the current BFS level in discovery order (sequentially: the
-	// whole queue, consumed in place); nextFront collects the next level
-	// during the merge phases. levelStart is the dense id of front[0].
+	// front holds the current BFS level in discovery order; nextFront
+	// collects the next level in the gather phase. levelStart is the dense
+	// id of front[0], d0 the dense id of the level's first creation.
 	front      []frontEntry
 	nextFront  []frontEntry
 	levelStart int
+	d0         int
+	// The level is split into active contiguous chunks: chunk ci is
+	// front[chunkLo[ci]:chunkLo[ci+1]]. chunkNew[ci] counts the states its
+	// pendings created and chunkBase[ci] is their dense offset from d0.
+	active    int
+	chunkLo   []int
+	chunkNew  []int
+	chunkBase []int
 }
 
 // isProtected reports whether p's meals count as "bad".
@@ -551,8 +612,28 @@ func (e *explorer) clone(src, spare *sim.World) *sim.World {
 	return src.CloneProtocolInto(spare)
 }
 
-// stateFlags computes the per-state labels recorded at intern time.
-func (e *explorer) stateFlags(w *sim.World) (bad, eat bool, mask uint64) {
+// successor computes outcome i of philosopher pid's n-outcome action from w
+// into a clone of w (reusing spare when possible). The outcome set is
+// recomputed on the clone and must match the parent's in size.
+func (e *explorer) successor(s *scratch, w, spare *sim.World, pid graph.PhilID, i, n int) (*sim.World, error) {
+	prog := e.ss.prog
+	succ := e.clone(w, spare)
+	succOut := prog.Outcomes(succ, pid, s.sbuf[:0])
+	s.sbuf = succOut
+	if len(succOut) != n {
+		return nil, fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", prog.Name(), pid)
+	}
+	succOut[i].Do(succ, pid)
+	succ.Step++
+	return succ, nil
+}
+
+// label records the per-state labels of the new dense state d, whose world
+// is w.
+func (e *explorer) label(s *scratch, d int, w *sim.World) {
+	ss := e.ss
+	var bad, eat bool
+	var mask uint64
 	for p := range w.Phils {
 		if w.Phils[p].Phase == sim.Eating {
 			eat = true
@@ -564,42 +645,51 @@ func (e *explorer) stateFlags(w *sim.World) (bad, eat bool, mask uint64) {
 			}
 		}
 	}
-	return bad, eat, mask
-}
-
-// addState interns a newly discovered state into shard g and appends its
-// dense-view entries. key must be a stable string (arena-interned or
-// heap-allocated); w is the state's world. It returns the packed and dense
-// ids. It is used by the sequential path and the truncation endgame; the
-// parallel phases split the same work between internShard and gatherChunk.
-func (e *explorer) addState(g uint32, key string, w *sim.World) (packed, dense int32, err error) {
-	ss := e.ss
-	st := &ss.shards[g]
-	local := int32(len(st.dense))
-	if local > localMask {
-		return 0, 0, fmt.Errorf("modelcheck: shard %d overflowed %d states; raise Options.Shards", g, localMask+1)
-	}
-	packed = int32(g)<<localBits | local
-	dense = int32(len(ss.bad))
-	st.index[key] = packed
-	st.dense = append(st.dense, dense)
-	st.trans = append(st.trans, e.zeroTrans...)
-	if e.opts.KeepKeys {
-		st.keys = append(st.keys, key)
+	ss.bad[d] = bad
+	ss.anyEating[d] = eat
+	if ss.eating != nil {
+		ss.eating[d] = mask
 	}
 	if e.keepRepKeys() {
-		ss.sym.repBuf = w.AppendKey(ss.sym.repBuf[:0])
-		ss.sym.repKeys = append(ss.sym.repKeys, string(ss.sym.repBuf))
+		// The creating world is the orbit representative: first
+		// encountered in discovery order.
+		s.keyBuf = w.AppendKey(s.keyBuf[:0])
+		ss.sym.repKeys[d] = s.arena.intern(s.keyBuf)
 	}
-	ss.order = append(ss.order, packed)
-	ss.expanded = append(ss.expanded, false)
-	bad, eat, mask := e.stateFlags(w)
-	ss.bad = append(ss.bad, bad)
-	ss.anyEating = append(ss.anyEating, eat)
+}
+
+// create interns key as a new state of shard g and returns its packed id;
+// its dense id is assigned by the caller.
+func (e *explorer) create(g uint32, key []byte) (int32, error) {
+	st := &e.ss.shards[g]
+	local := int32(len(st.dense))
+	if local > localMask {
+		return 0, fmt.Errorf("modelcheck: shard %d overflowed %d states; raise Options.Shards", g, localMask+1)
+	}
+	packed := int32(g)<<localBits | local
+	k := e.shardScr[g].arena.intern(key)
+	st.index[k] = packed
+	st.dense = append(reserve(st.dense, 1), -1)
+	st.trans = grow(st.trans, e.ss.NumPhils)
+	if e.opts.KeepKeys {
+		st.keys = append(reserve(st.keys, 1), k)
+	}
+	return packed, nil
+}
+
+// growDense extends every dense-view array by n states.
+func (e *explorer) growDense(n int) {
+	ss := e.ss
+	ss.order = grow(ss.order, n)
+	ss.bad = grow(ss.bad, n)
+	ss.anyEating = grow(ss.anyEating, n)
+	ss.expanded = grow(ss.expanded, n)
 	if ss.NumPhils <= maskablePhils {
-		ss.eating = append(ss.eating, mask)
+		ss.eating = grow(ss.eating, n)
 	}
-	return packed, dense, nil
+	if e.keepRepKeys() {
+		ss.sym.repKeys = grow(ss.sym.repKeys, n)
+	}
 }
 
 // resolveShards normalizes an Options.Shards value against the resolved
@@ -667,7 +757,12 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	e := &explorer{
 		ss:        ss,
 		opts:      opts,
-		zeroTrans: make([]transition, ss.NumPhils),
+		workers:   workers,
+		scratches: make([]scratch, workers),
+		shardScr:  make([]shardScratch, shards),
+	}
+	for i := range e.scratches {
+		e.scratches[i].noRecycle = opts.Hunger != nil
 	}
 	if len(opts.Protected) > 0 {
 		e.protected = make(map[graph.PhilID]bool, len(opts.Protected))
@@ -683,20 +778,21 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	prog.Init(initial)
 
 	w0 := e.clone(initial, nil)
-	keyBytes := e.appendKey(w0, nil)
-	packed0, _, err := e.addState(ss.shardOf(keyBytes), e.arena.intern(keyBytes), w0)
+	s0 := &e.scratches[0]
+	s0.keyBuf = e.appendKey(w0, s0.keyBuf[:0])
+	g0 := ss.shardOf(s0.keyBuf)
+	packed0, err := e.create(g0, s0.keyBuf)
 	if err != nil {
 		return nil, err
 	}
+	ss.shards[g0].dense[0] = 0
+	e.growDense(1)
+	ss.order[0] = packed0
+	e.label(s0, 0, w0)
 	ss.initial = 0
 	e.front = append(e.front, frontEntry{w: w0, packed: packed0})
 
-	if workers == 1 && shards == 1 {
-		err = e.exploreSequential()
-	} else {
-		err = e.exploreSharded(workers)
-	}
-	if err != nil {
+	if err := e.explore(); err != nil {
 		return nil, err
 	}
 
@@ -708,6 +804,8 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 		}
 		st, l := ss.locate(s)
 		base := int(l) * ss.NumPhils
+		st.succs = reserve(st.succs, ss.NumPhils)
+		st.probs = reserve(st.probs, ss.NumPhils)
 		for a := 0; a < ss.NumPhils; a++ {
 			st.trans[base+a] = transition{off: int32(len(st.succs)), n: 1}
 			st.succs = append(st.succs, int32(s))
@@ -721,236 +819,170 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 // is polled.
 const interruptCheckInterval = 1024
 
-// exploreSequential runs the BFS inline on a single shard. front doubles as
-// the FIFO queue: new states are appended in id order, so the world of state
-// id sits at front[id] until the state is expanded. With one shard the
-// packed, local and dense ids of a state coincide, which is what makes this
-// path free of any translation work.
-func (e *explorer) exploreSequential() error {
-	ss := e.ss
-	st := &ss.shards[0]
-	s := newScratch(e.opts.Hunger != nil)
-	for head := 0; head < len(e.front); head++ {
-		if e.opts.Interrupt != nil && head%interruptCheckInterval == 0 {
-			if err := e.opts.Interrupt(); err != nil {
-				return err
-			}
-		}
-		w := e.front[head].w
-		e.front[head].w = nil
-		id := int32(head)
+// minCap is the smallest capacity reserve allocates, so that small arrays
+// skip the first few doublings.
+const minCap = 64
 
-		base := int(id) * ss.NumPhils
-		for a := 0; a < ss.NumPhils; a++ {
-			pid := graph.PhilID(a)
-			// Outcomes must not mutate the world they are computed from, so
-			// the shared frontier world can be probed directly; each outcome
-			// is then applied to its own clone.
-			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
-			s.obuf = outcomes
-			off := int32(len(st.succs))
-			for i := range outcomes {
-				succ := e.clone(w, s.takeFree())
-				succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
-				s.sbuf = succOut
-				if len(succOut) != len(outcomes) {
-					return fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
-				}
-				succOut[i].Do(succ, pid)
-				succ.Step++
-				s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
-				var sid int32
-				// The string(keyBuf) map probe is the no-copy idiom: probing
-				// a seen state allocates nothing; genuinely new states intern
-				// their key into the shared arena.
-				if gid, ok := st.index[string(s.keyBuf)]; ok {
-					sid = gid
-					s.putFree(succ)
-				} else {
-					var err error
-					if _, sid, err = e.addState(0, e.arena.intern(s.keyBuf), succ); err != nil {
-						return err
-					}
-					e.front = append(e.front, frontEntry{w: succ, packed: sid})
-				}
-				st.succs = append(st.succs, sid)
-				st.probs = append(st.probs, outcomes[i].Prob)
-			}
-			st.trans[base+a] = transition{off: off, n: int32(len(outcomes))}
-		}
-		ss.expanded[id] = true
-		s.putFree(w)
-		if ss.NumStates() > e.opts.MaxStates {
-			ss.Truncated = true
-			return nil
-		}
+// reserve returns s with room for n more elements. When the capacity runs
+// out it at least doubles: append grows large slices by only 1.25×, which
+// would reallocate each flat per-state array about five times its final
+// size over an exploration.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
 	}
-	return nil
+	ns := make([]T, len(s), max(len(s)+n, 2*cap(s), minCap))
+	copy(ns, s)
+	return ns
 }
 
-// grown extends s by n zeroed elements, amortizing reallocation.
-func grown[T any](s []T, n int) []T {
-	s = slices.Grow(s, n)
+// grow extends s by n zeroed elements, growing its capacity as reserve does.
+func grow[T any](s []T, n int) []T {
+	s = reserve(s, n)
 	s = s[:len(s)+n]
 	clear(s[len(s)-n:])
 	return s
 }
 
-// exploreSharded runs the BFS level by level through the four phases
-// described in the package comment. Every phase is parallel — over chunks
-// (expand, gather) or over shards (intern, rows) — and every write target is
-// owned by exactly one goroutine, so the only synchronization is the barrier
-// between phases. A level that could cross the state cap falls back to
-// mergeLevelSequential, preserving the sequential truncation point exactly.
-func (e *explorer) exploreSharded(workers int) error {
+// explore runs the BFS level by level through the four phases described in
+// the package comment. Every phase is parallel — over chunks (expand,
+// gather) or over shards (intern, rows) — and every write target is owned by
+// exactly one goroutine, so the only synchronization is the barrier between
+// phases.
+func (e *explorer) explore() error {
 	ss := e.ss
-	scratches := make([]*scratch, workers)
-	for i := range scratches {
-		scratches[i] = newScratch(e.opts.Hunger != nil)
-	}
-	shardScr := make([]*shardScratch, len(ss.shards))
-	for g := range shardScr {
-		shardScr[g] = &shardScratch{}
-	}
-	chunkLo := make([]int, 0, workers)
-	chunkBase := make([]int, 0, workers)
-	var wg sync.WaitGroup
-
 	for len(e.front) > 0 {
 		if e.opts.Interrupt != nil {
 			if err := e.opts.Interrupt(); err != nil {
 				return err
 			}
 		}
-
-		// Phase 1: expand disjoint chunks of the level in parallel.
+		e.d0 = ss.NumStates()
 		n := len(e.front)
-		chunk := (n + workers - 1) / workers
-		active := 0
-		chunkLo = chunkLo[:0]
+		chunk := (n + e.workers - 1) / e.workers
+		e.chunkLo = e.chunkLo[:0]
 		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			s := scratches[active]
-			chunkLo = append(chunkLo, lo)
-			active++
-			wg.Add(1)
-			go func(s *scratch, entries []frontEntry) {
-				defer wg.Done()
-				e.expandChunk(s, entries)
-			}(s, e.front[lo:hi])
+			e.chunkLo = append(e.chunkLo, lo)
 		}
-		wg.Wait()
-		// The first error in chunk order keeps error reporting deterministic
-		// (each chunk's contents are deterministic, so so is its error).
-		for _, s := range scratches[:active] {
-			if s.err != nil {
-				return s.err
-			}
-		}
+		e.active = len(e.chunkLo)
+		e.chunkLo = append(e.chunkLo, n)
 
-		// Truncation endgame: if this level could cross the state cap
-		// (totalPending over-counts cross-chunk duplicates, so the trigger
-		// errs on the safe side), merge it in global frontier order on one
-		// goroutine so the exploration stops at exactly the state the
-		// sequential exploration stops at. This runs at most on the final
-		// level of a capped run — never on the steady-state path.
-		totalPending := 0
-		for _, s := range scratches[:active] {
-			totalPending += len(s.pkeys)
-		}
-		d0 := ss.NumStates()
-		if d0+totalPending > e.opts.MaxStates {
-			if err := e.mergeLevelSequential(scratches[:active], chunkLo); err != nil {
+		// Phase 1: expand. The first error in chunk order keeps error
+		// reporting deterministic (each chunk's contents are deterministic,
+		// so so is its error).
+		e.run(phaseExpand, e.active)
+		for ci := range e.active {
+			if err := e.scratches[ci].err; err != nil {
 				return err
 			}
-			if ss.Truncated {
-				return nil
-			}
-			e.front, e.nextFront = e.nextFront, e.front[:0]
-			e.levelStart = d0
-			continue
 		}
 
-		// Phase 2: intern pending states, one goroutine per shard.
-		for g := range ss.shards {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				e.internShard(uint32(g), shardScr[g], scratches[:active])
-			}(g)
-		}
-		wg.Wait()
-		for _, sc := range shardScr {
-			if sc.err != nil {
-				return sc.err
+		// Phase 2: intern.
+		e.run(phaseIntern, len(ss.shards))
+		for g := range e.shardScr {
+			if err := e.shardScr[g].err; err != nil {
+				return err
 			}
+		}
+		e.chunkNew = grow(e.chunkNew[:0], e.active)
+		total := 0
+		for ci := range e.chunkNew {
+			for g := range e.shardScr {
+				e.chunkNew[ci] += e.shardScr[g].newPerChunk[ci]
+			}
+			total += e.chunkNew[ci]
+		}
+		truncated := e.d0+total > e.opts.MaxStates
+		if truncated {
+			total = e.cut()
 		}
 
 		// Dense-id bases: chunk ci's creations become dense ids
 		// d0+chunkBase[ci].. in pending order — the global first-encounter
-		// order, which is exactly the sequential discovery order.
-		chunkBase = chunkBase[:0]
-		totalCreated := 0
-		for ci := 0; ci < active; ci++ {
-			chunkBase = append(chunkBase, totalCreated)
-			for _, sc := range shardScr {
-				totalCreated += int(sc.newPerChunk[ci])
+		// order, which is exactly breadth-first discovery order.
+		e.chunkBase = e.chunkBase[:0]
+		base := 0
+		for _, c := range e.chunkNew[:e.active] {
+			e.chunkBase = append(e.chunkBase, base)
+			base += c
+		}
+		e.growDense(total)
+		e.nextFront = grow(e.nextFront[:0], total)
+
+		// Phase 3: gather.
+		e.run(phaseGather, e.active)
+		for ci := range e.active {
+			if err := e.scratches[ci].err; err != nil {
+				return err
 			}
 		}
-		ss.order = grown(ss.order, totalCreated)
-		ss.bad = grown(ss.bad, totalCreated)
-		ss.anyEating = grown(ss.anyEating, totalCreated)
-		ss.expanded = grown(ss.expanded, totalCreated)
-		if ss.NumPhils <= maskablePhils {
-			ss.eating = grown(ss.eating, totalCreated)
-		}
-		if e.keepRepKeys() {
-			ss.sym.repKeys = grown(ss.sym.repKeys, totalCreated)
-		}
-		e.nextFront = grown(e.nextFront[:0], totalCreated)
 
-		// Phase 3: assign dense ids, record labels and build the next
-		// frontier, one goroutine per chunk (disjoint dense-id ranges).
-		for ci := 0; ci < active; ci++ {
-			wg.Add(1)
-			go func(s *scratch, base int) {
-				defer wg.Done()
-				e.gatherChunk(s, d0, base)
-			}(scratches[ci], chunkBase[ci])
+		// Phase 4: rows.
+		e.run(phaseRows, len(ss.shards))
+		if truncated {
+			ss.Truncated = true
+			return nil
 		}
-		wg.Wait()
-
-		// Phase 4: write transition rows, one goroutine per shard.
-		for g := range ss.shards {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				e.writeRows(uint32(g), scratches[:active], chunkLo)
-			}(g)
-		}
-		wg.Wait()
-
-		e.front, e.nextFront = e.nextFront, e.front[:0]
-		e.levelStart = d0
+		e.front, e.nextFront = e.nextFront, e.front
+		e.levelStart = e.d0
 	}
 	return nil
+}
+
+// run executes phase p for indices 0..n-1 (chunks or shards). With one
+// worker it runs them inline; otherwise min(n, workers) goroutines take the
+// indices in strides.
+func (e *explorer) run(p phase, n int) {
+	if e.workers == 1 || n == 1 {
+		for i := range n {
+			e.step(p, i)
+		}
+		return
+	}
+	k := min(n, e.workers)
+	e.wg.Add(k)
+	for j := range k {
+		go e.stride(p, j, k, n)
+	}
+	e.wg.Wait()
+}
+
+// stride runs phase p for indices j, j+k, j+2k, ... below n on one goroutine.
+func (e *explorer) stride(p phase, j, k, n int) {
+	defer e.wg.Done()
+	for i := j; i < n; i += k {
+		e.step(p, i)
+	}
+}
+
+// step runs phase p for chunk or shard i.
+func (e *explorer) step(p phase, i int) {
+	switch p {
+	case phaseExpand:
+		e.expandChunk(&e.scratches[i], e.front[e.chunkLo[i]:e.chunkLo[i+1]])
+	case phaseIntern:
+		e.internShard(uint32(i))
+	case phaseGather:
+		e.gatherChunk(i)
+	case phaseRows:
+		e.writeRows(uint32(i))
+	}
 }
 
 // expandChunk computes the outcome record of one contiguous chunk of the
 // current level. It only reads shared state (the shard intern tables, the
 // program, the frontier worlds of its own chunk) and writes the worker-local
-// scratch.
+// scratch. A successor already interned is recorded by dense id; any other
+// is recorded as a pending entry carrying its key bytes and origin, and its
+// world is dropped.
 func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 	ss := e.ss
 	s.counts = s.counts[:0]
 	s.probs = s.probs[:0]
 	s.refs = s.refs[:0]
+	s.shardOuts = grow(s.shardOuts[:0], len(ss.shards))
 	s.pkeys = s.pkeys[:0]
-	s.pworlds = s.pworlds[:0]
-	s.pshard = s.pshard[:0]
-	s.created = s.created[:0]
-	s.resolve = s.resolve[:0]
-	clear(s.local)
+	s.pend = s.pend[:0]
 	s.err = nil
 	for k := range entries {
 		if e.opts.Interrupt != nil && k%interruptCheckInterval == 0 {
@@ -960,125 +992,176 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 			}
 		}
 		w := entries[k].w
+		outs := len(s.refs)
+		s.counts = reserve(s.counts, ss.NumPhils)
 		for a := 0; a < ss.NumPhils; a++ {
 			pid := graph.PhilID(a)
+			// Outcomes must not mutate the world they are computed from, so
+			// the frontier world is probed directly; each outcome is then
+			// applied to the scratch clone.
 			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
 			s.obuf = outcomes
-			s.counts = append(s.counts, int32(len(outcomes)))
+			n := len(outcomes)
+			s.counts = append(s.counts, int32(n))
+			s.probs = reserve(s.probs, n)
+			s.refs = reserve(s.refs, n)
 			for i := range outcomes {
-				succ := e.clone(w, s.takeFree())
-				succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
-				s.sbuf = succOut
-				if len(succOut) != len(outcomes) {
-					s.err = fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
+				succ, err := e.successor(s, w, s.tmp, pid, i, n)
+				if err != nil {
+					s.err = err
 					return
 				}
-				succOut[i].Do(succ, pid)
-				succ.Step++
+				s.tmp = succ
 				s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
 				s.probs = append(s.probs, outcomes[i].Prob)
 				g := ss.shardOf(s.keyBuf)
 				st := &ss.shards[g]
+				// The string(keyBuf) map probe is the no-copy idiom: probing
+				// a seen state allocates nothing.
 				if gid, ok := st.index[string(s.keyBuf)]; ok {
 					s.refs = append(s.refs, st.dense[gid&localMask])
-					s.putFree(succ)
-				} else if li, ok := s.local[string(s.keyBuf)]; ok {
-					s.refs = append(s.refs, ^li)
-					s.putFree(succ)
-				} else {
-					li := int32(len(s.pworlds))
-					key := string(s.keyBuf)
-					s.local[key] = li
-					s.pkeys = append(s.pkeys, key)
-					s.pworlds = append(s.pworlds, succ)
-					s.pshard = append(s.pshard, uint8(g))
-					s.created = append(s.created, false)
-					s.resolve = append(s.resolve, -1)
-					s.refs = append(s.refs, ^li)
+					continue
 				}
+				s.refs = append(s.refs, ^int32(len(s.pend)))
+				s.pkeys = append(reserve(s.pkeys, len(s.keyBuf)), s.keyBuf...)
+				s.pend = append(reserve(s.pend, 1), pending{
+					end:     int32(len(s.pkeys)),
+					parent:  int32(k),
+					phil:    int32(a),
+					outcome: int32(i),
+					shard:   uint8(g),
+				})
 			}
 		}
-		s.putFree(w) // the frontier world is fully expanded
+		s.shardOuts[uint32(entries[k].packed)>>localBits] += len(s.refs) - outs
 	}
+	s.resolve = grow(s.resolve[:0], len(s.pend))
+	s.created = grow(s.created[:0], len(s.pend))
 }
 
 // internShard interns, into shard g, every pending state hashing to g, in
-// (chunk, first-encounter) order — the restriction of the sequential
-// discovery order to this shard, so shard-local numbering is deterministic
-// for every worker count. Dense ids are left to the gather phase; resolve
-// receives the packed id of every pending entry owned by g.
-func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch) {
-	ss := e.ss
-	st := &ss.shards[g]
-	sc.newPerChunk = grown(sc.newPerChunk[:0], len(scratches))
+// (chunk, encounter) order — the restriction of breadth-first discovery
+// order to this shard, so shard-local numbering is deterministic for every
+// worker count. The first entry of a key creates its state; later entries
+// of the same key, from this chunk or a later one, resolve to it. Dense ids
+// are left to the gather phase.
+func (e *explorer) internShard(g uint32) {
+	st := &e.ss.shards[g]
+	sc := &e.shardScr[g]
+	sc.newPerChunk = grow(sc.newPerChunk[:0], e.active)
 	sc.err = nil
-	for ci, s := range scratches {
-		created := int32(0)
-		for li, key := range s.pkeys {
-			if uint32(s.pshard[li]) != g {
+	for ci := range e.active {
+		s := &e.scratches[ci]
+		for li := range s.pend {
+			if uint32(s.pend[li].shard) != g {
 				continue
 			}
-			if pid, ok := st.index[key]; ok {
-				s.resolve[li] = pid
+			key := s.key(li)
+			if packed, ok := st.index[string(key)]; ok {
+				s.resolve[li] = packed
 				continue
 			}
-			local := int32(len(st.dense))
-			if local > localMask {
-				sc.err = fmt.Errorf("modelcheck: shard %d overflowed %d states; raise Options.Shards", g, localMask+1)
+			packed, err := e.create(g, key)
+			if err != nil {
+				sc.err = err
 				return
-			}
-			packed := int32(g)<<localBits | local
-			st.index[key] = packed
-			st.dense = append(st.dense, -1) // assigned in the gather phase
-			st.trans = append(st.trans, e.zeroTrans...)
-			if e.opts.KeepKeys {
-				st.keys = append(st.keys, key)
 			}
 			s.resolve[li] = packed
 			s.created[li] = true
-			created++
+			sc.newPerChunk[ci]++
 		}
-		sc.newPerChunk[ci] = created
 	}
 }
 
-// gatherChunk walks one chunk's pendings in first-encounter order and, for
-// each entry that created its state, assigns the next dense id, records the
-// state labels and frontier entry, and completes the shard's local→dense
-// map. Entries that lost the intern race to an earlier chunk recycle their
-// worlds. Chunks write disjoint dense-id ranges, so the phase is parallel.
-func (e *explorer) gatherChunk(s *scratch, d0, base int) {
+// cut truncates the current level at the first frontier state after whose
+// expansion the state count exceeds MaxStates — where a state-by-state
+// breadth-first search stops. Creations by later frontier states are
+// withdrawn from their shards (each shard created its states in pending
+// order, so they are a suffix of every shard), the chunks are shortened to
+// end at the cut, and chunkNew is recounted. It returns the number of
+// states the level keeps.
+func (e *explorer) cut() int {
 	ss := e.ss
-	d := d0 + base
-	nf := e.nextFront[base:]
+	budget := e.opts.MaxStates - e.d0 // creations that keep the count at the cap
+	cutChunk, cutState := -1, -1
+	kept := 0
+	for ci := range e.active {
+		s := &e.scratches[ci]
+		e.chunkNew[ci] = 0
+		for li := range s.pend {
+			if !s.created[li] {
+				continue
+			}
+			p := &s.pend[li]
+			if cutChunk < 0 {
+				budget--
+				if budget < 0 {
+					// This creation crosses the cap: its parent is the last
+					// frontier state expanded.
+					cutChunk, cutState = ci, int(p.parent)
+				}
+			}
+			if cutChunk >= 0 && (ci > cutChunk || int(p.parent) > cutState) {
+				g := p.shard
+				st := &ss.shards[g]
+				delete(st.index, string(s.key(li)))
+				local := len(st.dense) - 1
+				st.dense = st.dense[:local]
+				st.trans = st.trans[:local*ss.NumPhils]
+				if e.opts.KeepKeys {
+					st.keys = st.keys[:local]
+				}
+				s.created[li] = false
+				continue
+			}
+			e.chunkNew[ci]++
+			kept++
+		}
+	}
+	e.chunkLo[cutChunk+1] = e.chunkLo[cutChunk] + cutState + 1
+	e.active = cutChunk + 1
+	return kept
+}
+
+// gatherChunk walks one chunk's pendings in encounter order and, for each
+// entry that created its state, rebuilds the state's world from its parent,
+// assigns the next dense id, records the state labels and frontier entry,
+// and completes the shard's local→dense map. A frontier world returns to
+// the free list once its last created child is built. Chunks write disjoint
+// dense-id ranges, so the phase is parallel.
+func (e *explorer) gatherChunk(ci int) {
+	ss := e.ss
+	s := &e.scratches[ci]
+	s.err = nil
+	entries := e.front[e.chunkLo[ci]:e.chunkLo[ci+1]]
+	d := e.d0 + e.chunkBase[ci]
+	nf := e.nextFront[e.chunkBase[ci]:]
+	done := 0 // entries[:done] have no further created children
 	j := 0
-	for li := range s.pkeys {
-		w := s.pworlds[li]
-		s.pworlds[li] = nil
+	for li := range s.pend {
 		if !s.created[li] {
-			s.putFree(w)
 			continue
 		}
+		p := &s.pend[li]
+		for ; done < int(p.parent); done++ {
+			s.putFree(entries[done].w)
+		}
+		n := int(s.counts[int(p.parent)*ss.NumPhils+int(p.phil)])
+		w, err := e.successor(s, entries[p.parent].w, s.takeFree(), graph.PhilID(p.phil), int(p.outcome), n)
+		if err != nil {
+			s.err = err
+			return
+		}
 		packed := s.resolve[li]
-		st := &ss.shards[packed>>localBits]
-		st.dense[packed&localMask] = int32(d)
+		ss.shards[packed>>localBits].dense[packed&localMask] = int32(d)
 		ss.order[d] = packed
-		if e.keepRepKeys() {
-			// Chunks own disjoint dense ranges, so writing repKeys here is as
-			// race-free as the other dense arrays. The creating world is the
-			// orbit representative: first encountered in discovery order.
-			s.keyBuf = w.AppendKey(s.keyBuf[:0])
-			ss.sym.repKeys[d] = string(s.keyBuf)
-		}
-		bad, eat, mask := e.stateFlags(w)
-		ss.bad[d] = bad
-		ss.anyEating[d] = eat
-		if ss.eating != nil {
-			ss.eating[d] = mask
-		}
+		e.label(s, d, w)
 		nf[j] = frontEntry{w: w, packed: packed}
 		j++
 		d++
+	}
+	for ; done < len(entries); done++ {
+		s.putFree(entries[done].w)
 	}
 }
 
@@ -1086,17 +1169,23 @@ func (e *explorer) gatherChunk(s *scratch, d0, base int) {
 // transition rows of the level states owned by shard g into g's flat arrays,
 // resolving pending successor references through the intern results. Rows
 // land in deterministic (frontier, philosopher, outcome) order per shard.
-func (e *explorer) writeRows(g uint32, scratches []*scratch, chunkLo []int) {
+func (e *explorer) writeRows(g uint32) {
 	ss := e.ss
 	st := &ss.shards[g]
-	for ci, s := range scratches {
+	need := 0
+	for ci := range e.active {
+		need += e.scratches[ci].shardOuts[g]
+	}
+	st.succs = reserve(st.succs, need)
+	st.probs = reserve(st.probs, need)
+	for ci := range e.active {
+		s := &e.scratches[ci]
+		lo, hi := e.chunkLo[ci], e.chunkLo[ci+1]
 		ri, kk := 0, 0
-		nStates := len(s.counts) / ss.NumPhils
-		for k := 0; k < nStates; k++ {
-			fe := e.front[chunkLo[ci]+k]
+		for k, fe := range e.front[lo:hi] {
 			if uint32(fe.packed)>>localBits != g {
 				// Skip the state's record: it belongs to another shard.
-				for a := 0; a < ss.NumPhils; a++ {
+				for range ss.NumPhils {
 					ri += int(s.counts[kk])
 					kk++
 				}
@@ -1107,85 +1196,19 @@ func (e *explorer) writeRows(g uint32, scratches []*scratch, chunkLo []int) {
 				cnt := s.counts[kk]
 				kk++
 				off := int32(len(st.succs))
-				for j := int32(0); j < cnt; j++ {
+				for range cnt {
 					sid := s.refs[ri]
-					prob := s.probs[ri]
-					ri++
 					if sid < 0 {
-						li := ^sid
-						packed := s.resolve[li]
+						packed := s.resolve[^sid]
 						sid = ss.shards[packed>>localBits].dense[packed&localMask]
 					}
 					st.succs = append(st.succs, sid)
-					st.probs = append(st.probs, prob)
-				}
-				st.trans[base+a] = transition{off: off, n: cnt}
-			}
-			ss.expanded[e.levelStart+chunkLo[ci]+k] = true
-		}
-	}
-}
-
-// mergeLevelSequential is the truncation endgame: it replays every chunk's
-// record in global frontier order on one goroutine, interning new states
-// into their shards at first encounter — the same shard-local and dense
-// numbering the parallel phases would produce — and stops the moment the
-// state cap is crossed, exactly where the sequential exploration stops. The
-// rest of the level is dropped; discovered-but-unexpanded states keep their
-// blank rows for the post-pass self-loops.
-func (e *explorer) mergeLevelSequential(scratches []*scratch, chunkLo []int) error {
-	ss := e.ss
-	for ci, s := range scratches {
-		ri, kk := 0, 0
-		nStates := len(s.counts) / ss.NumPhils
-		for k := 0; k < nStates; k++ {
-			fe := e.front[chunkLo[ci]+k]
-			st := &ss.shards[uint32(fe.packed)>>localBits]
-			base := int(fe.packed&localMask) * ss.NumPhils
-			for a := 0; a < ss.NumPhils; a++ {
-				cnt := s.counts[kk]
-				kk++
-				off := int32(len(st.succs))
-				for j := int32(0); j < cnt; j++ {
-					sid := s.refs[ri]
-					prob := s.probs[ri]
+					st.probs = append(st.probs, s.probs[ri])
 					ri++
-					if sid < 0 {
-						li := ^sid
-						// resolve caches dense ids on this path.
-						if s.resolve[li] >= 0 {
-							sid = s.resolve[li]
-						} else {
-							key := s.pkeys[li]
-							w := s.pworlds[li]
-							s.pworlds[li] = nil
-							g := uint32(s.pshard[li])
-							if pid, ok := ss.shards[g].index[key]; ok {
-								// Interned by an earlier chunk of this level.
-								sid = ss.shards[g].dense[pid&localMask]
-								s.putFree(w)
-							} else {
-								packed, dense, err := e.addState(g, key, w)
-								if err != nil {
-									return err
-								}
-								e.nextFront = append(e.nextFront, frontEntry{w: w, packed: packed})
-								sid = dense
-							}
-							s.resolve[li] = sid
-						}
-					}
-					st.succs = append(st.succs, sid)
-					st.probs = append(st.probs, prob)
 				}
 				st.trans[base+a] = transition{off: off, n: cnt}
 			}
-			ss.expanded[e.levelStart+chunkLo[ci]+k] = true
-			if ss.NumStates() > e.opts.MaxStates {
-				ss.Truncated = true
-				return nil
-			}
+			ss.expanded[e.levelStart+lo+k] = true
 		}
 	}
-	return nil
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/modelcheck/modelchecktest"
+	"repro/internal/sim"
 )
 
 // TestExplorationGolden pins the exact exploration results (state counts,
@@ -15,7 +17,8 @@ import (
 // the binary AppendKey encoder, the flattened World layout, the
 // protocol-only cloning of Explore and the sharded state stores must keep
 // every one of them byte-identical — a refactor that merges or splits states
-// shows up here immediately.
+// shows up here immediately. Each instance's explored space is also compared
+// state by state with the modelchecktest reference exploration.
 //
 // Larger instances (ring-3 GDP2, theorem1-minimal GDP1) are skipped in -short
 // mode; the small ones still cover every algorithm and key feature (guest
@@ -95,88 +98,89 @@ func TestExplorationGolden(t *testing.T) {
 			t.Errorf("%s on %s (protected %v, opts %+v):\n got  %+v\n want %+v",
 				in.algorithm, in.topo.Name(), in.protected, in.opts, got, in.want)
 		}
-	}
-}
-
-// assertSameSpace compares two single-shard explorations field by field:
-// state numbering, transition tables, outcome probabilities, labels, masks
-// and keys must all be identical — the contract that makes the parallel
-// explorer at Shards: 1 a drop-in replacement for the sequential one.
-func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
-	t.Helper()
-	if a.NumShards() != 1 || b.NumShards() != 1 {
-		t.Fatalf("%s: assertSameSpace wants single-shard spaces, got %d and %d shards", label, a.NumShards(), b.NumShards())
-	}
-	if a.NumStates() != b.NumStates() || a.initial != b.initial || a.Truncated != b.Truncated {
-		t.Fatalf("%s: shape differs: %d vs %d states, initial %d vs %d, truncated %v vs %v",
-			label, a.NumStates(), b.NumStates(), a.initial, b.initial, a.Truncated, b.Truncated)
-	}
-	for name, pair := range map[string][2]any{
-		"trans":     {a.shards[0].trans, b.shards[0].trans},
-		"succs":     {a.shards[0].succs, b.shards[0].succs},
-		"probs":     {a.shards[0].probs, b.shards[0].probs},
-		"dense":     {a.shards[0].dense, b.shards[0].dense},
-		"keys":      {a.shards[0].keys, b.shards[0].keys},
-		"order":     {a.order, b.order},
-		"bad":       {a.bad, b.bad},
-		"anyEating": {a.anyEating, b.anyEating},
-		"eating":    {a.eating, b.eating},
-		"expanded":  {a.expanded, b.expanded},
-	} {
-		if !reflect.DeepEqual(pair[0], pair[1]) {
-			t.Fatalf("%s: %s differs between worker counts", label, name)
+		opts := Options{Protected: in.protected}
+		ss, err := Explore(in.topo, prog, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertMatchesReference(t, in.algorithm+" on "+in.topo.Name(), reference(t, in.topo, prog, opts), ss)
 	}
 }
 
-// assertEquivalentSpace verifies that a sharded exploration is the
-// sequential space under the shard-id remap. The dense view — state
-// numbering, labels, transition rows, keys — must be identical outright
-// (dense ids are assigned in sequential discovery order for every worker and
-// shard count), and the shard layout must be a consistent bijection: every
-// state's key hashes to its owning shard, packed ids round-trip through the
-// order/dense maps, and the shard sizes add up.
-func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
+// reference runs the modelchecktest reference exploration with the fields
+// of opts that shape the explored space.
+func reference(t *testing.T, topo *graph.Topology, prog sim.Program, opts Options) *modelchecktest.Space {
 	t.Helper()
-	if seq.NumStates() != sh.NumStates() || seq.initial != sh.initial || seq.Truncated != sh.Truncated {
-		t.Fatalf("%s: shape differs: %d vs %d states, initial %d vs %d, truncated %v vs %v",
-			label, seq.NumStates(), sh.NumStates(), seq.initial, sh.initial, seq.Truncated, sh.Truncated)
+	ref, err := modelchecktest.Explore(topo, prog, modelchecktest.Options{
+		MaxStates: opts.MaxStates,
+		Protected: opts.Protected,
+		Hunger:    opts.Hunger,
+		Symmetry:  opts.Symmetry,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := seq.NumStates()
+	return ref
+}
+
+// assertMatchesReference verifies that an explored space is the reference
+// exploration under the shard-id remap. The dense view — state numbering,
+// keys, labels, transition rows, truncation — must be identical outright
+// (dense ids are assigned in breadth-first discovery order for every worker
+// and shard count), every reference key must be interned at its dense id,
+// and the shard layout must be a consistent bijection: every state's key
+// hashes to its owning shard, packed ids round-trip through the order/dense
+// maps, and the shard sizes add up.
+func assertMatchesReference(t *testing.T, label string, ref *modelchecktest.Space, ss *StateSpace) {
+	t.Helper()
+	n := len(ref.Keys)
+	if ss.NumStates() != n || ss.initial != 0 || ss.Truncated != ref.Truncated {
+		t.Fatalf("%s: shape differs: %d vs %d reference states, initial %d, truncated %v vs %v",
+			label, ss.NumStates(), n, ss.initial, ss.Truncated, ref.Truncated)
+	}
 	for s := 0; s < n; s++ {
-		if seq.KeyOf(s) != sh.KeyOf(s) {
-			t.Fatalf("%s: state %d has different canonical keys — the dense numbering diverged", label, s)
+		if got := ss.denseOf([]byte(ref.Keys[s])); got != int32(s) {
+			t.Fatalf("%s: reference state %d is interned at dense id %d — the dense numbering diverged", label, s, got)
 		}
-		if seq.bad[s] != sh.bad[s] || seq.anyEating[s] != sh.anyEating[s] || seq.expanded[s] != sh.expanded[s] {
+		if ss.hasKeys && ss.KeyOf(s) != ref.Keys[s] {
+			t.Fatalf("%s: state %d has a different retained key", label, s)
+		}
+		if ss.sym != nil && ss.hasKeys && ss.RepresentativeKeyOf(s) != ref.RepKeys[s] {
+			t.Fatalf("%s: state %d has a different representative key", label, s)
+		}
+		if ss.bad[s] != ref.Bad[s] || ss.anyEating[s] != ref.AnyEating[s] || ss.expanded[s] != ref.Expanded[s] {
 			t.Fatalf("%s: state %d labels differ", label, s)
 		}
-		if seq.eating != nil && seq.eating[s] != sh.eating[s] {
+		if !reflect.DeepEqual(ss.eating == nil, ref.Eating == nil) || (ss.eating != nil && ss.eating[s] != ref.Eating[s]) {
 			t.Fatalf("%s: state %d eating mask differs", label, s)
 		}
-		for a := 0; a < seq.NumPhils; a++ {
-			if !reflect.DeepEqual(seq.Succs(s, a), sh.Succs(s, a)) {
-				t.Fatalf("%s: successors of (state %d, phil %d) differ: %v vs %v",
-					label, s, a, seq.Succs(s, a), sh.Succs(s, a))
+		for a := 0; a < ss.NumPhils; a++ {
+			i := s*ss.NumPhils + a
+			if !reflect.DeepEqual(ss.Succs(s, a), ref.Succs[i]) {
+				t.Fatalf("%s: successors of (state %d, phil %d) differ: %v vs reference %v",
+					label, s, a, ss.Succs(s, a), ref.Succs[i])
 			}
-			if !reflect.DeepEqual(seq.Probs(s, a), sh.Probs(s, a)) {
+			if !reflect.DeepEqual(ss.Probs(s, a), ref.Probs[i]) {
 				t.Fatalf("%s: probabilities of (state %d, phil %d) differ", label, s, a)
 			}
 		}
 	}
-	// Shard-layout invariants of the sharded space.
 	total := 0
-	for g := range sh.shards {
-		st := &sh.shards[g]
+	for g := range ss.shards {
+		st := &ss.shards[g]
 		total += len(st.dense)
+		if len(st.trans) != len(st.dense)*ss.NumPhils || len(st.index) != len(st.dense) {
+			t.Fatalf("%s: shard %d holds %d states but %d transitions and %d index entries",
+				label, g, len(st.dense), len(st.trans), len(st.index))
+		}
 		for l, d := range st.dense {
 			packed := int32(g)<<localBits | int32(l)
-			if sh.order[d] != packed {
+			if ss.order[d] != packed {
 				t.Fatalf("%s: order[%d] = %d, want packed id %d (shard %d, local %d)",
-					label, d, sh.order[d], packed, g, l)
+					label, d, ss.order[d], packed, g, l)
 			}
-			if key := st.keys[l]; sh.shardOfString(key) != uint32(g) {
-				t.Fatalf("%s: state (shard %d, local %d) has a key hashing to shard %d",
-					label, g, l, sh.shardOfString(key))
+			if h := ss.shardOfString(ref.Keys[d]); h != uint32(g) {
+				t.Fatalf("%s: state (shard %d, local %d) has a key hashing to shard %d", label, g, l, h)
 			}
 		}
 	}
@@ -185,72 +189,91 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 	}
 }
 
+// assertSameLayout compares two single-shard explorations field by field:
+// beyond the dense view, the flat transition arrays themselves must be
+// identical, so a single-shard space does not depend on the worker count.
+func assertSameLayout(t *testing.T, label string, a, b *StateSpace) {
+	t.Helper()
+	if a.NumShards() != 1 || b.NumShards() != 1 {
+		t.Fatalf("%s: assertSameLayout wants single-shard spaces, got %d and %d shards", label, a.NumShards(), b.NumShards())
+	}
+	for name, pair := range map[string][2]any{
+		"trans": {a.shards[0].trans, b.shards[0].trans},
+		"succs": {a.shards[0].succs, b.shards[0].succs},
+		"probs": {a.shards[0].probs, b.shards[0].probs},
+		"dense": {a.shards[0].dense, b.shards[0].dense},
+		"keys":  {a.shards[0].keys, b.shards[0].keys},
+		"order": {a.order, b.order},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Fatalf("%s: %s differs between worker counts", label, name)
+		}
+	}
+}
+
 // TestExplorationParallelMatchesSequential pins the strongest form of the
 // determinism contract on a single shard: for every worker count the
-// explored space is byte-identical to the sequential exploration — same
-// state numbering, same flat transition arrays, same keys. It covers every
-// algorithm family (free choice, request lists + guest books, nr draws,
-// globals) and a truncated exploration, whose stop point must also agree.
+// explored space matches the reference breadth-first exploration state by
+// state, and the flat transition arrays are byte-identical to the
+// single-worker run's. It covers every algorithm family (free choice,
+// request lists + guest books, nr draws, globals) and a truncated
+// exploration, whose stop point must also agree.
 func TestExplorationParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for _, alg := range []string{"LR1", "LR2", "GDP1", "GDP2", "naive-left-first", "central-monitor"} {
-		prog, err := algo.New(alg, algo.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: 1, Shards: 1, KeepKeys: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 7} {
+		prog := mustProg(t, alg, algo.Options{})
+		ref := reference(t, graph.Theorem2Minimal(), prog, Options{})
+		var first *StateSpace
+		for _, workers := range []int{1, 2, 3, 7} {
 			par, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: workers, Shards: 1, KeepKeys: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameSpace(t, alg, seq, par)
+			assertMatchesReference(t, alg, ref, par)
+			if first == nil {
+				first = par
+			}
+			assertSameLayout(t, alg, first, par)
 		}
 	}
 
-	prog, err := algo.New("LR1", algo.Options{})
-	if err != nil {
-		t.Fatal(err)
+	prog := mustProg(t, "LR1", algo.Options{})
+	ref := reference(t, graph.Ring(4), prog, Options{MaxStates: 50})
+	if !ref.Truncated {
+		t.Fatal("MaxStates 50 on Ring(4) should truncate")
 	}
-	seq, err := Explore(graph.Ring(4), prog, Options{Workers: 1, Shards: 1, MaxStates: 50, KeepKeys: true})
-	if err != nil {
-		t.Fatal(err)
+	var first *StateSpace
+	for _, workers := range []int{1, 5} {
+		par, err := Explore(graph.Ring(4), prog, Options{Workers: workers, Shards: 1, MaxStates: 50, KeepKeys: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, "truncated LR1", ref, par)
+		if first == nil {
+			first = par
+		}
+		assertSameLayout(t, "truncated LR1", first, par)
 	}
-	par, err := Explore(graph.Ring(4), prog, Options{Workers: 5, Shards: 1, MaxStates: 50, KeepKeys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Truncated || !par.Truncated {
-		t.Fatal("MaxStates 50 on Ring(4) should truncate at any worker count")
-	}
-	assertSameSpace(t, "truncated LR1", seq, par)
 }
 
 // TestExplorationShardedEquivalentToSequential pins the sharded-store
 // contract: for every (workers, shards) combination the explored space is
-// the sequential space under the shard-id remap — identical dense view
+// the reference exploration under the shard-id remap — identical dense view
 // (numbering, rows, labels, keys) plus a consistent shard layout. The grid
-// covers every algorithm family; a truncated run must stop at the exact
-// sequential stop point too.
+// covers every algorithm family. Truncated runs sweep the state cap over
+// every value up to a few BFS levels deep and a few larger ones, so the cut
+// lands inside levels, on level boundaries and in every chunk; each must
+// stop at the reference stop point.
 func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 	t.Parallel()
 	for _, alg := range []string{"LR1", "LR2", "GDP1", "GDP2", "naive-left-first", "central-monitor"} {
-		prog, err := algo.New(alg, algo.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: 1, Shards: 1, KeepKeys: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		prog := mustProg(t, alg, algo.Options{})
+		ref := reference(t, graph.Theorem2Minimal(), prog, Options{})
 		for _, cfg := range []struct{ workers, shards int }{
-			{1, 2}, {1, 8}, {2, 2}, {3, 4}, {7, 8}, {4, 64},
+			{1, 1}, {1, 2}, {1, 8}, {2, 2}, {3, 4}, {7, 8}, {4, 64},
 		} {
 			sh, err := Explore(graph.Theorem2Minimal(), prog, Options{
-				Workers: cfg.workers, Shards: cfg.shards, KeepKeys: true,
+				Workers: cfg.workers, Shards: cfg.shards, KeepKeys: cfg.workers%2 == 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -258,35 +281,30 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 			if want := resolveShards(cfg.shards, cfg.workers); sh.NumShards() != want {
 				t.Fatalf("%s: NumShards = %d, want %d", alg, sh.NumShards(), want)
 			}
-			label := alg
-			assertEquivalentSpace(t, label, seq, sh)
+			assertMatchesReference(t, alg, ref, sh)
 		}
 	}
 
-	// Truncated runs: the sharded exploration must stop at the exact state
-	// the sequential exploration stops at, for every (workers, shards) pair.
-	prog, err := algo.New("LR1", algo.Options{})
-	if err != nil {
-		t.Fatal(err)
+	prog := mustProg(t, "LR1", algo.Options{})
+	caps := []int{257, 500, 1000, 2000}
+	for c := 1; c <= 120; c++ {
+		caps = append(caps, c)
 	}
-	for _, maxStates := range []int{50, 500} {
-		seq, err := Explore(graph.Ring(4), prog, Options{Workers: 1, Shards: 1, MaxStates: maxStates, KeepKeys: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.Truncated {
+	for _, maxStates := range caps {
+		ref := reference(t, graph.Ring(4), prog, Options{MaxStates: maxStates})
+		if !ref.Truncated {
 			t.Fatalf("MaxStates %d on Ring(4) should truncate", maxStates)
 		}
 		for _, cfg := range []struct{ workers, shards int }{
-			{1, 4}, {3, 2}, {5, 8},
+			{1, 1}, {1, 4}, {2, 2}, {3, 2}, {5, 8},
 		} {
 			sh, err := Explore(graph.Ring(4), prog, Options{
-				Workers: cfg.workers, Shards: cfg.shards, MaxStates: maxStates, KeepKeys: true,
+				Workers: cfg.workers, Shards: cfg.shards, MaxStates: maxStates,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertEquivalentSpace(t, "truncated LR1", seq, sh)
+			assertMatchesReference(t, "truncated LR1", ref, sh)
 		}
 	}
 }

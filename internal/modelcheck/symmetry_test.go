@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/algo"
@@ -54,7 +55,8 @@ func TestSymmetryReducesStateCount(t *testing.T) {
 // TestSymmetryDeterministicAcrossWorkersAndShards pins the quotient's dense
 // numbering, retained canonical keys, representative keys and counterexample
 // paths to be identical for every (workers, shards) configuration — the same
-// determinism contract the unreduced exploration has.
+// determinism contract the unreduced exploration has — and to match the
+// reference exploration of the quotient.
 func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(4)
@@ -63,31 +65,20 @@ func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := mustCanon(t, topo, graph.CanonOptions{})
-	explore := func(workers, shards int) *StateSpace {
-		ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, Workers: workers, Shards: shards})
+	ref := reference(t, topo, prog, Options{Symmetry: canon})
+	var refTrap Trap
+	for i, cfg := range [][2]int{{1, 1}, {2, 4}, {4, 1}, {8, 8}} {
+		ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, Workers: cfg[0], Shards: cfg[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss
-	}
-	ref := explore(1, 1)
-	refTrap := ref.FindStarvationTrap()
-	for _, cfg := range [][2]int{{2, 4}, {4, 1}, {8, 8}} {
-		ss := explore(cfg[0], cfg[1])
-		if ss.NumStates() != ref.NumStates() {
-			t.Fatalf("workers=%d shards=%d: %d states, want %d", cfg[0], cfg[1], ss.NumStates(), ref.NumStates())
-		}
-		for s := 0; s < ref.NumStates(); s++ {
-			if ss.KeyOf(s) != ref.KeyOf(s) {
-				t.Fatalf("workers=%d shards=%d: canonical key of state %d differs", cfg[0], cfg[1], s)
-			}
-			if ss.RepresentativeKeyOf(s) != ref.RepresentativeKeyOf(s) {
-				t.Fatalf("workers=%d shards=%d: representative key of state %d differs", cfg[0], cfg[1], s)
-			}
-		}
+		assertMatchesReference(t, fmt.Sprintf("workers=%d shards=%d", cfg[0], cfg[1]), ref, ss)
 		trap := ss.FindStarvationTrap()
+		if i == 0 {
+			refTrap = trap
+		}
 		if trap.Exists != refTrap.Exists || trap.WitnessState != refTrap.WitnessState || trap.States != refTrap.States {
-			t.Errorf("workers=%d shards=%d: trap analysis differs from sequential", cfg[0], cfg[1])
+			t.Errorf("workers=%d shards=%d: trap analysis differs from the single-worker run", cfg[0], cfg[1])
 		}
 	}
 }
@@ -172,8 +163,9 @@ func TestSymmetryTrivialGroupMatchesPlain(t *testing.T) {
 }
 
 // TestSymmetryTruncationDeterministic checks that a state cap truncates the
-// quotient exploration at the same orbit for every (workers, shards)
-// configuration, and that the truncated space stays analyzable.
+// quotient exploration at the reference exploration's stop orbit for every
+// (workers, shards) configuration, over a sweep of caps, and that the
+// truncated space stays analyzable.
 func TestSymmetryTruncationDeterministic(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(4)
@@ -182,32 +174,29 @@ func TestSymmetryTruncationDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := mustCanon(t, topo, graph.CanonOptions{})
-	const cap = 700
-	ref, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, MaxStates: cap, Workers: 1, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	caps := []int{700}
+	for c := 1; c <= 60; c++ {
+		caps = append(caps, c)
 	}
-	if !ref.Truncated {
-		t.Fatalf("cap %d did not truncate (got %d states); the test needs a truncated run", cap, ref.NumStates())
-	}
-	for _, cfg := range [][2]int{{2, 4}, {4, 2}} {
-		ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, MaxStates: cap, Workers: cfg[0], Shards: cfg[1]})
-		if err != nil {
-			t.Fatal(err)
+	for _, cap := range caps {
+		ref := reference(t, topo, prog, Options{Symmetry: canon, MaxStates: cap})
+		if !ref.Truncated {
+			t.Fatalf("cap %d did not truncate (got %d states); the test needs a truncated run", cap, len(ref.Keys))
 		}
-		if !ss.Truncated || ss.NumStates() != ref.NumStates() {
-			t.Fatalf("workers=%d shards=%d: truncated=%v states=%d, want truncated=true states=%d",
-				cfg[0], cfg[1], ss.Truncated, ss.NumStates(), ref.NumStates())
-		}
-		for s := 0; s < ref.NumStates(); s++ {
-			if ss.KeyOf(s) != ref.KeyOf(s) {
-				t.Fatalf("workers=%d shards=%d: truncated key sequence diverges at state %d", cfg[0], cfg[1], s)
+		for _, cfg := range [][2]int{{1, 1}, {2, 4}, {4, 2}} {
+			ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, MaxStates: cap, Workers: cfg[0], Shards: cfg[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesReference(t, fmt.Sprintf("cap %d workers=%d shards=%d", cap, cfg[0], cfg[1]), ref, ss)
+			if cap == 700 && cfg[0] == 1 {
+				// The truncated quotient is still a well-formed view: the
+				// analyses run.
+				ss.Reachable()
+				ss.FindStarvationTrap()
 			}
 		}
 	}
-	// The truncated quotient is still a well-formed view: the analyses run.
-	ref.Reachable()
-	ref.FindStarvationTrap()
 }
 
 // TestSymmetryExploreAllocsPerState pins the allocation budget of the

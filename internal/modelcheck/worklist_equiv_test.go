@@ -19,6 +19,8 @@ import (
 // lists, trap verdicts, safe-region sizes, witness states, witness keys and
 // covered-philosopher sets must all be byte-identical; on trap-positive cells
 // the counterexample traces extracted from the two witnesses must match too.
+// Each cell's explored space itself is first compared with the modelchecktest
+// reference exploration.
 //
 // A second pass re-checks the per-philosopher trap analyses (the
 // lockout-freedom fan-out) on the smaller cells: one shared index, one
@@ -48,6 +50,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 				truncatedCells++
 			}
 			cell := algName + " on " + topoName
+			assertMatchesReference(t, cell, reference(t, topo, prog, Options{MaxStates: maxStates}), ss)
 
 			if got, want := ss.DeadlockStates(), graphalgtest.DeadlockStates(ss); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: DeadlockStates = %v, reference %v", cell, got, want)

@@ -9,6 +9,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/dining"
@@ -105,8 +106,9 @@ func NewCache(capStates int) *Cache {
 // waits for the in-flight exploration (or its own ctx). The explore
 // function is supplied by the caller so the cache stays agnostic of engine
 // assembly; a failed exploration is not cached, and its error propagates to
-// every waiter of that flight. A cancelled waiter returns its ctx error
-// without disturbing the exploration.
+// every waiter of that flight. A panicking explore is reported the same way,
+// as an error naming the fingerprint. A cancelled waiter returns its ctx
+// error without disturbing the exploration.
 func (c *Cache) Get(ctx context.Context, key string, onStatus func(Status), explore func() (*dining.StateSpace, error)) (*dining.StateSpace, Status, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -133,17 +135,30 @@ func (c *Cache) Get(ctx context.Context, key string, onStatus func(Status), expl
 	c.stats.Explorations++
 	c.mu.Unlock()
 
+	c.fly(key, f, onStatus, explore)
+	return f.space, StatusMiss, f.err
+}
+
+// fly runs the exploration of flight f and retires the flight. The flight
+// is deleted and closed in a defer, so a panic in explore (or in onStatus)
+// cannot strand it: the panic becomes the flight's error, naming the
+// fingerprint, every waiter receives that error, and the next Get for key
+// is a miss that explores again.
+func (c *Cache) fly(key string, f *flight, onStatus func(Status), explore func() (*dining.StateSpace, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.space, f.err = nil, fmt.Errorf("serve: exploring fingerprint %s panicked: %v", key, r)
+		}
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.insert(key, f.space)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 	notify(onStatus, StatusMiss)
 	f.space, f.err = explore()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insert(key, f.space)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.space, StatusMiss, f.err
 }
 
 // Stats returns a snapshot of the counters.

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/dining"
 )
@@ -180,6 +182,62 @@ func TestCacheErrorNotCached(t *testing.T) {
 		func() (*dining.StateSpace, error) { return ss, nil })
 	if err != nil || got != ss || status != StatusMiss {
 		t.Fatalf("retry Get = (%p, %q, %v), want fresh miss returning the space", got, status, err)
+	}
+}
+
+// TestCachePanickingExplore is the poisoned-flight regression: an explore
+// func that panics must not strand its flight. The leader and a concurrent
+// waiter both get an error naming the fingerprint, and the next Get for the
+// key is a fresh miss that explores again — it neither blocks on a dead
+// flight nor reports "shared".
+func TestCachePanickingExplore(t *testing.T) {
+	t.Parallel()
+	ss := exploreSpace(t, dining.Ring(3), dining.LR1)
+	c := NewCache(0)
+	const key = "fp-poison"
+	gate := make(chan struct{})
+	missObserved := make(chan struct{})
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Get(context.Background(), key, func(Status) { close(missObserved) },
+			func() (*dining.StateSpace, error) {
+				<-gate
+				panic("explorer bug")
+			})
+		leaderErr <- err
+	}()
+	<-missObserved
+
+	sharedObserved := make(chan struct{})
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, status, err := c.Get(context.Background(), key, func(Status) { close(sharedObserved) }, nil)
+		if status != StatusShared {
+			t.Errorf("waiter status = %q, want shared", status)
+		}
+		waiterErr <- err
+	}()
+	<-sharedObserved
+	close(gate)
+
+	for _, got := range []struct {
+		who string
+		err error
+	}{{"leader", <-leaderErr}, {"waiter", <-waiterErr}} {
+		if got.err == nil || !strings.Contains(got.err.Error(), key) || !strings.Contains(got.err.Error(), "explorer bug") {
+			t.Errorf("%s error = %v, want one naming fingerprint %q and the panic", got.who, got.err, key)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, status, err := c.Get(ctx, key, nil, func() (*dining.StateSpace, error) { return ss, nil })
+	if err != nil || got != ss || status != StatusMiss {
+		t.Fatalf("Get after the panic = (%p, %q, %v), want a fresh miss returning the space", got, status, err)
+	}
+	if st := c.Stats(); st.Explorations != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 explorations and 1 live entry", st)
 	}
 }
 
