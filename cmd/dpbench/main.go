@@ -16,8 +16,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -26,30 +28,40 @@ import (
 )
 
 func main() {
-	cfg := cli.Config{Seed: 20010903} // the paper's arXiv date
-	cfg.Register(flag.CommandLine, cli.FlagSeed|cli.FlagWorkers|cli.FlagJSON|cli.FlagProfile|cli.FlagFaults|cli.FlagSymmetry)
-	var (
-		quick      = flag.Bool("quick", false, "reduced trial counts")
-		experiment = flag.String("experiment", "", "run a single experiment by ID (for example E-T3)")
-		markdown   = flag.Bool("markdown", false, "emit Markdown instead of aligned text")
-		outPath    = flag.String("o", "", "write the report to a file instead of stdout")
-	)
-	flag.Parse()
-	if err := cfg.Validate(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		cli.Fatal("dpbench", err)
 	}
+}
+
+// run parses args, runs the selected experiments and writes the report to
+// stdout (or to the -o file).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dpbench", flag.ContinueOnError)
+	cfg := cli.Config{Seed: 20010903} // the paper's arXiv date
+	cfg.Register(fs, cli.FlagSeed|cli.FlagWorkers|cli.FlagJSON|cli.FlagProfile|cli.FlagFaults|cli.FlagSymmetry)
+	var (
+		quick      = fs.Bool("quick", false, "reduced trial counts")
+		experiment = fs.String("experiment", "", "run a single experiment by ID (for example E-T3)")
+		markdown   = fs.Bool("markdown", false, "emit Markdown instead of aligned text")
+		outPath    = fs.String("o", "", "write the report to a file instead of stdout")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if *markdown && cfg.JSON {
-		cli.Fatal("dpbench", fmt.Errorf("-markdown and -json are mutually exclusive"))
+		return fmt.Errorf("-markdown and -json are mutually exclusive")
 	}
 	stopProfiling, err := cfg.StartProfiling()
 	if err != nil {
-		cli.Fatal("dpbench", err)
+		return err
 	}
-	defer func() {
-		if err := stopProfiling(); err != nil {
-			cli.Fatal("dpbench", err)
-		}
-	}()
+	defer stopProfiling()
 
 	ecfg := core.ExperimentConfig{Quick: *quick, Seed: cfg.Seed, Workers: cfg.Workers, Faults: cfg.Faults, Symmetry: cfg.Symmetry}
 
@@ -58,23 +70,23 @@ func main() {
 	if *experiment != "" {
 		table, err := core.RunByID(*experiment, ecfg)
 		if err != nil {
-			cli.Fatal("dpbench", err)
+			return err
 		}
 		tables = append(tables, table)
 	} else {
 		all, err := core.RunAll(ecfg)
 		if err != nil {
-			cli.Fatal("dpbench", err)
+			return err
 		}
 		tables = all
 	}
 	elapsed := time.Since(start)
 
-	out := os.Stdout
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			cli.Fatal("dpbench", err)
+			return err
 		}
 		defer f.Close()
 		out = f
@@ -85,7 +97,7 @@ func main() {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tables); err != nil {
-			cli.Fatal("dpbench", err)
+			return err
 		}
 	case *markdown:
 		intro := fmt.Sprintf("# Experiment results\n\nGenerated by `dpbench` in %s (quick=%t, seed=%d).\n", elapsed.Round(time.Second), *quick, cfg.Seed)
@@ -96,4 +108,5 @@ func main() {
 		}
 		fmt.Fprintf(out, "completed %d experiment(s) in %s\n", len(tables), elapsed.Round(time.Millisecond))
 	}
+	return stopProfiling()
 }
