@@ -20,7 +20,6 @@ import (
 
 	"repro/dining"
 	"repro/internal/algo"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -32,15 +31,50 @@ import (
 	"repro/internal/verify"
 )
 
-// simulateOnce runs one bounded simulation and reports meals/step metrics.
-func simulateOnce(b *testing.B, topo *graph.Topology, algorithm string, kind string, seed uint64, steps int64) *sim.Result {
+// simulateOnce runs one bounded simulation of an engine built for the
+// configuration.
+func simulateOnce(b *testing.B, topo *graph.Topology, algorithm string, kind string, seed uint64, steps int64, opts ...dining.Option) *sim.Result {
 	b.Helper()
-	sys := core.System{Topology: topo, Algorithm: algorithm, Scheduler: kind, Seed: seed}
-	res, err := sys.Simulate(sim.RunOptions{MaxSteps: steps})
+	opts = append(opts, dining.WithScheduler(kind), dining.WithSeed(seed), dining.WithMaxSteps(steps))
+	res, err := dining.Simulate(context.Background(), topo, algorithm, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res
+}
+
+// simulateUntil runs one simulation that stops early (at a first meal, or
+// when everyone has eaten). The engine exposes no early stop, so this
+// assembles the run on the simulator the way the engine does: the scheduler
+// draws from the seed's first split stream.
+func simulateUntil(b *testing.B, topo *graph.Topology, algorithm string, opts algo.Options, kind string, seed uint64, run sim.RunOptions) *sim.Result {
+	b.Helper()
+	prog, err := algo.New(algorithm, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := prng.New(seed)
+	scheduler, err := sched.New(kind, sched.Config{RNG: rng.Split()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sim.Run(topo, prog, scheduler, rng, run)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// checkTrap explores the instance and reports whether a fair adversary has a
+// reachable starvation trap against the protected set.
+func checkTrap(b *testing.B, topo *graph.Topology, prog sim.Program, protected []graph.PhilID) bool {
+	b.Helper()
+	ss, err := modelcheck.Explore(topo, prog, modelcheck.Options{Protected: protected})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trap := ss.FindStarvationTrap()
+	return trap.Exists && trap.Reachable
 }
 
 // BenchmarkTable1LR1 .. BenchmarkTable4GDP2 exercise the four algorithm
@@ -119,12 +153,8 @@ func BenchmarkTheorem1(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := modelcheck.Check(graph.Theorem1Minimal(), prog, modelcheck.Options{Protected: c.protected})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.FairAdversaryWins() != c.wantTrap {
-					b.Fatalf("%s verdict %v, want %v", c.algorithm, rep.FairAdversaryWins(), c.wantTrap)
+				if wins := checkTrap(b, graph.Theorem1Minimal(), prog, c.protected); wins != c.wantTrap {
+					b.Fatalf("%s verdict %v, want %v", c.algorithm, wins, c.wantTrap)
 				}
 			}
 		})
@@ -142,13 +172,9 @@ func BenchmarkTheorem2(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := modelcheck.Check(graph.Theorem2Minimal(), prog, modelcheck.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
 				want := algorithm == "LR2"
-				if rep.FairAdversaryWins() != want {
-					b.Fatalf("%s verdict %v, want %v", algorithm, rep.FairAdversaryWins(), want)
+				if wins := checkTrap(b, graph.Theorem2Minimal(), prog, nil); wins != want {
+					b.Fatalf("%s verdict %v, want %v", algorithm, wins, want)
 				}
 			}
 		})
@@ -164,11 +190,7 @@ func BenchmarkTheorem3Progress(b *testing.B) {
 			b.ReportAllocs()
 			var firstMeal int64
 			for i := 0; i < b.N; i++ {
-				sys := core.System{Topology: topo, Algorithm: "GDP1", Scheduler: "adversary", Seed: uint64(i) + 1}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := simulateUntil(b, topo, "GDP1", algo.Options{}, "adversary", uint64(i)+1, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
 				if !res.Progress() {
 					b.Fatal("GDP1 failed to progress under the adversary")
 				}
@@ -186,11 +208,7 @@ func BenchmarkTheorem4Lockout(b *testing.B) {
 	b.ReportAllocs()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		sys := core.System{Topology: topo, Algorithm: "GDP2", Scheduler: "round-robin", Seed: uint64(i) + 1}
-		res, err := sys.Simulate(sim.RunOptions{MaxSteps: 200_000, StopWhenAllHaveEaten: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := simulateUntil(b, topo, "GDP2", algo.Options{}, "round-robin", uint64(i)+1, sim.RunOptions{MaxSteps: 200_000, StopWhenAllHaveEaten: true})
 		if res.Reason != sim.StopAllAte {
 			b.Fatalf("not everyone ate: %v", res.EatsBy)
 		}
@@ -247,17 +265,7 @@ func BenchmarkNumberRangeSweep(b *testing.B) {
 			b.ReportAllocs()
 			var firstMeal int64
 			for i := 0; i < b.N; i++ {
-				sys := core.System{
-					Topology:    topo,
-					Algorithm:   "GDP1",
-					AlgoOptions: algo.Options{M: m},
-					Scheduler:   "adversary",
-					Seed:        uint64(i) + 1,
-				}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := simulateUntil(b, topo, "GDP1", algo.Options{M: m}, "adversary", uint64(i)+1, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
 				firstMeal += res.FirstEatStep
 			}
 			b.ReportMetric(float64(firstMeal)/float64(b.N), "steps-to-first-meal")
@@ -351,6 +359,12 @@ func BenchmarkFaultInjection(b *testing.B) {
 		}
 		return m
 	}
+	faultOptions := func(spec string) []dining.Option {
+		if spec == "" {
+			return nil
+		}
+		return []dining.Option{dining.WithFaults(spec)}
+	}
 	specs := []struct{ name, spec string }{
 		{"none", ""},
 		{"zero-rate", "crash-rejoin:0"},
@@ -362,16 +376,11 @@ func BenchmarkFaultInjection(b *testing.B) {
 	b.Run("simulate", func(b *testing.B) {
 		topo := graph.Ring(9)
 		for _, c := range specs {
-			m := faultModel(c.spec)
 			b.Run(c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var meals int64
 				for i := 0; i < b.N; i++ {
-					sys := core.System{Topology: topo, Algorithm: "GDP1", Scheduler: "random", Seed: uint64(i) + 1, Faults: m}
-					res, err := sys.Simulate(sim.RunOptions{MaxSteps: 20_000})
-					if err != nil {
-						b.Fatal(err)
-					}
+					res := simulateOnce(b, topo, "GDP1", "random", uint64(i)+1, 20_000, faultOptions(c.spec)...)
 					meals += res.TotalEats
 				}
 				b.ReportMetric(float64(meals)/float64(b.N), "meals/run")
@@ -414,13 +423,15 @@ func BenchmarkFaultInjection(b *testing.B) {
 			{"crash-rejoin", "crash-rejoin:0.05,0.5"},
 			{"freeze", "freeze:0.05"},
 		} {
-			m := faultModel(c.spec)
 			b.Run(c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var meals int64
 				for i := 0; i < b.N; i++ {
-					sys := core.System{Topology: topo, Algorithm: "GDP2", Seed: uint64(i) + 1, Faults: m}
-					metrics, err := sys.RunConcurrent(context.Background(), 20*time.Millisecond, 0)
+					eng, err := dining.New(topo, "GDP2", append(faultOptions(c.spec), dining.WithSeed(uint64(i)+1))...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					metrics, err := eng.RunConcurrent(context.Background(), 20*time.Millisecond, 0)
 					if err != nil {
 						b.Fatal(err)
 					}

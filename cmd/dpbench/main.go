@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	dpbench -quick                  # fast pass (~1 minute)
-//	dpbench                         # full pass (several minutes)
+//	dpbench -quick                  # fast pass (seconds)
+//	dpbench                         # full pass (under a minute)
 //	dpbench -experiment E-T3        # a single experiment
 //	dpbench -markdown -o EXPERIMENTS.generated.md
 //	dpbench -quick -json            # machine-readable tables
-//	dpbench -quick -symmetry        # orbit-quotient model checking (same
-//	                                # verdict tables, per-orbit state counts)
+//	dpbench -quick -faults crash-rejoin:0.05,0.5  # tables under fault injection
 //	dpbench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -23,8 +22,8 @@ import (
 	"os"
 	"time"
 
+	"repro/dining"
 	"repro/internal/cli"
-	"repro/internal/core"
 )
 
 func main() {
@@ -38,7 +37,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dpbench", flag.ContinueOnError)
 	cfg := cli.Config{Seed: 20010903} // the paper's arXiv date
-	cfg.Register(fs, cli.FlagSeed|cli.FlagWorkers|cli.FlagJSON|cli.FlagProfile|cli.FlagFaults|cli.FlagSymmetry)
+	cfg.Register(fs, cli.FlagSeed|cli.FlagWorkers|cli.FlagJSON|cli.FlagProfile|cli.FlagFaults)
 	var (
 		quick      = fs.Bool("quick", false, "reduced trial counts")
 		experiment = fs.String("experiment", "", "run a single experiment by ID (for example E-T3)")
@@ -63,22 +62,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer stopProfiling()
 
-	ecfg := core.ExperimentConfig{Quick: *quick, Seed: cfg.Seed, Workers: cfg.Workers, Faults: cfg.Faults, Symmetry: cfg.Symmetry}
-
-	var tables []*core.Table
-	start := time.Now()
+	ecfg := dining.ExperimentConfig{Quick: *quick, Seed: cfg.Seed, Workers: cfg.Workers, Faults: cfg.Faults}
+	var ids []string
 	if *experiment != "" {
-		table, err := core.RunByID(*experiment, ecfg)
-		if err != nil {
-			return err
-		}
-		tables = append(tables, table)
-	} else {
-		all, err := core.RunAll(ecfg)
-		if err != nil {
-			return err
-		}
-		tables = all
+		ids = append(ids, *experiment)
+	}
+	start := time.Now()
+	tables, err := dining.RunExperiments(ecfg, ids...)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 
@@ -101,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	case *markdown:
 		intro := fmt.Sprintf("# Experiment results\n\nGenerated by `dpbench` in %s (quick=%t, seed=%d).\n", elapsed.Round(time.Second), *quick, cfg.Seed)
-		fmt.Fprint(out, core.RenderMarkdown(intro, tables))
+		fmt.Fprint(out, dining.RenderMarkdown(intro, tables))
 	default:
 		for _, t := range tables {
 			fmt.Fprintln(out, t.Text())

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 )
 
@@ -96,7 +95,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-json", "-markdown"},
 		{"-experiment", "E-NOPE", "-quick"},
 		{"-faults", "no-such-model"},
-		{"-workers", strconv.Itoa(-1)},
+		{"-workers", "-1"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {

@@ -9,7 +9,7 @@
 // Topologies, algorithms, schedulers, properties and fault models are open,
 // name-indexed registries. The nine built-in algorithms, the six built-in
 // schedulers/adversaries, every builder topology, the built-in properties
-// and the three built-in fault models self-register at init time; new
+// and the four built-in fault models self-register at init time; new
 // implementations plug in with [RegisterAlgorithm], [RegisterScheduler],
 // [RegisterTopology], [RegisterProperty] and [RegisterFault] and immediately
 // become available to every consumer — the engine, the sweep matrix, the
@@ -32,8 +32,10 @@
 // Every run path takes a [context.Context] and honours cancellation:
 // [Engine.Run] executes one simulation, [Engine.Repeat] runs n deterministic
 // Monte-Carlo trials in index order, [Engine.Check] verifies properties,
-// [Engine.ModelCheck] builds the legacy aggregate report, and
-// [Engine.RunConcurrent] executes the system on real goroutines.
+// [Engine.Explore] returns the explored state space, and
+// [Engine.RunConcurrent] executes the system on real goroutines. The engine
+// is the only place a system is assembled: the command-line tools, dpserve
+// and the experiment suite all run through it.
 //
 // # Properties
 //
@@ -99,6 +101,15 @@
 // simulation and trial surfaces are never affected. [Engine.Symmetry]
 // reports the engine's setting, which also enters [Engine.Fingerprint].
 //
+// # Experiments
+//
+// [RunExperiments] regenerates the paper's reproduced artifacts — the
+// Figure 1 inventory, the Section 3 adversary, Theorems 1–4, the efficiency
+// and number-range sweeps and the goroutine-runtime throughput — as
+// [Table]s; [Experiments] lists the suite. Every table is built from
+// engines, so its verdicts are the ones [Engine.Check] serves, and every
+// table except the wall-clock E-RT is identical for any worker count.
+//
 // # Streams
 //
 // [Engine.Trials] yields per-trial results as workers finish — an
@@ -118,9 +129,7 @@ import (
 	"time"
 
 	"repro/internal/algo"
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/modelcheck"
 	"repro/internal/prng"
 	"repro/internal/runtime"
 	"repro/internal/sched"
@@ -239,16 +248,6 @@ type SimResult = sim.Result
 // ConcurrentMetrics is the outcome of a goroutine-runtime run.
 type ConcurrentMetrics = runtime.Metrics
 
-// CheckReport is the outcome of an exhaustive model check — the legacy
-// aggregate of the analyses that Engine.Check now runs as selectable
-// properties with counterexample traces (see the v2→v3 migration table in
-// CHANGES.md).
-type CheckReport = modelcheck.Report
-
-// Table is a titled result table (the sweep matrix and experiment-suite
-// format), renderable as text, Markdown or JSON.
-type Table = core.Table
-
 // Simulate is a convenience wrapper: build an engine from the arguments and
 // run one simulation.
 func Simulate(ctx context.Context, topo *Topology, algorithm string, opts ...Option) (*SimResult, error) {
@@ -268,15 +267,4 @@ func RunConcurrent(ctx context.Context, topo *Topology, algorithm string, seed u
 		return nil, err
 	}
 	return eng.RunConcurrent(ctx, duration, targetMeals)
-}
-
-// ModelCheck exhaustively verifies a small instance: it reports whether a
-// fair adversary can forever starve the protected philosophers (all of them
-// when protected is empty).
-func ModelCheck(ctx context.Context, topo *Topology, algorithm string, protected ...PhilID) (*CheckReport, error) {
-	eng, err := New(topo, algorithm, WithProtected(protected...))
-	if err != nil {
-		return nil, err
-	}
-	return eng.ModelCheck(ctx)
 }

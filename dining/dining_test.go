@@ -89,11 +89,15 @@ func TestEngineAdversarialRun(t *testing.T) {
 
 func TestFacadeModelCheck(t *testing.T) {
 	t.Parallel()
-	rep, err := dining.ModelCheck(context.Background(), dining.Theta(1, 1, 1), dining.LR2)
+	eng, err := dining.New(dining.Theta(1, 1, 1), dining.LR2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.FairAdversaryWins() {
+	res, err := eng.CheckAll(context.Background(), dining.StarvationTrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Passed {
 		t.Error("expected the Theorem 2 verdict for LR2 on the theta graph")
 	}
 }
@@ -120,8 +124,8 @@ func TestEngineContextCancellation(t *testing.T) {
 	if _, err := eng.Run(ctx); err == nil {
 		t.Error("Run ignored a cancelled context")
 	}
-	if _, err := eng.ModelCheck(ctx); err == nil {
-		t.Error("ModelCheck ignored a cancelled context")
+	if _, err := eng.Explore(ctx); err == nil {
+		t.Error("Explore ignored a cancelled context")
 	}
 	sawErr := false
 	for _, err := range eng.Trials(ctx, 8) {

@@ -7,18 +7,18 @@ import (
 	"time"
 
 	"repro/internal/algo"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/modelcheck"
 	"repro/internal/par"
 	"repro/internal/prng"
+	"repro/internal/runtime"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// seedStride separates derived per-trial seeds; it matches the stride of the
-// internal experiment engine so that Engine trials are bit-identical to
-// core.System.Repeat trials.
+// seedStride separates the derived seeds of consecutive trials (the 64-bit
+// golden-ratio constant), so that trial i's seed depends on the base seed
+// and i alone.
 const seedStride = 0x9e3779b97f4a7c15
 
 // config is the mutable bag the functional options write into; New freezes
@@ -55,12 +55,12 @@ func WithScheduler(name string) Option { return func(c *config) { c.scheduler = 
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithWorkers bounds the number of goroutines used by Trials, Repeat,
-// Sweep and the exploration phases of Check and ModelCheck (0 = one per CPU;
+// Sweep and the exploration phases of Check and Explore (0 = one per CPU;
 // 1 runs everything on the calling goroutine). Results are identical for
 // every value.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithShards splits the state-space store of Check and ModelCheck
+// WithShards splits the state-space store of Check and Explore
 // explorations into 2^k independently-owned shards, so exploration workers
 // intern and append states without a global per-level merge (rounded up to
 // a power of two; 0 = match the worker count). Results — state counts,
@@ -89,7 +89,7 @@ func WithFairnessWindow(window int64) Option {
 	return func(c *config) { c.fairnessWindow = window }
 }
 
-// WithMaxStates caps the state count of ModelCheck and Check explorations
+// WithMaxStates caps the state count of Check and Explore explorations
 // (0 = the model-checker default).
 func WithMaxStates(n int) Option { return func(c *config) { c.maxStates = n } }
 
@@ -121,7 +121,7 @@ func WithSymmetry() Option { return func(c *config) { c.symmetry = true } }
 // many rates and a target philosopher the topology does not have are all
 // construction-time errors. The Monte-Carlo simulator and the exhaustive
 // model checker both run the wrapped program, so Run, Trials, Repeat, Check
-// and ModelCheck all see the same perturbed MDP. RunConcurrent injects the
+// and Explore all see the same perturbed MDP. RunConcurrent injects the
 // crash-family models (crash-rejoin, freeze) as goroutine park/resume
 // decisions driven by per-seed streams, and rejects the message-level models
 // (lossy-grants, delayed-grants), which have no goroutine equivalent.
@@ -272,20 +272,6 @@ func (e *Engine) Faults() string {
 	return e.cfg.faultModel.Spec()
 }
 
-// system assembles the internal system for one run with the given seed.
-func (e *Engine) system(seed uint64) core.System {
-	return core.System{
-		Topology:       e.topo,
-		Algorithm:      e.alg,
-		AlgoOptions:    e.cfg.algoOpts,
-		Scheduler:      e.cfg.scheduler,
-		Protected:      e.cfg.protected,
-		FairnessWindow: e.cfg.fairnessWindow,
-		Faults:         e.cfg.faultModel,
-		Seed:           seed,
-	}
-}
-
 // program constructs the engine's algorithm program, wrapped by the fault
 // model when one is configured — the single assembly point that keeps the
 // simulator, the model checker and trace replay on the same (possibly
@@ -307,14 +293,37 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// runOptions builds the simulator options for one run, wiring ctx
-// cancellation into the step loop.
-func (e *Engine) runOptions(ctx context.Context, recorder sim.Recorder) sim.RunOptions {
-	opts := sim.RunOptions{MaxSteps: e.cfg.maxSteps, Recorder: recorder}
+// simulate runs one simulation with the given seed: the scheduler draws
+// from the seed's first split stream and the program from the rest. It is
+// the one run path behind Run, the trial streams and the experiment suite.
+// Cancelling ctx ends the run and returns the context's error.
+func (e *Engine) simulate(ctx context.Context, seed uint64, opts sim.RunOptions) (*SimResult, error) {
+	prog, err := e.program()
+	if err != nil {
+		return nil, err
+	}
+	rng := prng.New(seed)
+	scheduler, err := sched.New(e.cfg.scheduler, sched.Config{
+		RNG:            rng.Split(),
+		Protected:      e.cfg.protected,
+		FairnessWindow: e.cfg.fairnessWindow,
+	})
+	if err != nil {
+		return nil, err
+	}
 	if ctx.Done() != nil {
 		opts.Stop = func() bool { return ctx.Err() != nil }
 	}
-	return opts
+	res, err := sim.Run(e.topo, prog, scheduler, rng, opts)
+	if err == nil && res.Reason == sim.StopCancelled {
+		return nil, ctx.Err()
+	}
+	return res, err
+}
+
+// runOptions is the simulator configuration of Run and of every trial.
+func (e *Engine) runOptions() sim.RunOptions {
+	return sim.RunOptions{MaxSteps: e.cfg.maxSteps, Recorder: e.cfg.recorder}
 }
 
 // trialSeed derives the seed of trial i from the base seed and i alone.
@@ -327,15 +336,7 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sys := e.system(e.cfg.seed)
-	res, err := sys.Simulate(e.runOptions(ctx, e.cfg.recorder))
-	if err != nil {
-		return nil, err
-	}
-	if res.Reason == sim.StopCancelled {
-		return nil, ctx.Err()
-	}
-	return res, nil
+	return e.simulate(ctx, e.cfg.seed, e.runOptions())
 }
 
 // TrialResult is one entry of a trial stream: the trial's index and seed
@@ -384,13 +385,12 @@ func newTrialResult(trial int, seed uint64, res *SimResult) TrialResult {
 // execution, so the recorder observes a single ordered event stream.
 func (e *Engine) runTrial(ctx context.Context, i int) (TrialResult, error) {
 	seed := e.trialSeed(i)
-	sys := e.system(seed)
-	res, err := sys.Simulate(e.runOptions(ctx, e.cfg.recorder))
+	res, err := e.simulate(ctx, seed, e.runOptions())
 	if err != nil {
-		return TrialResult{Trial: i, Seed: seed}, fmt.Errorf("dining: trial %d: %w", i, err)
-	}
-	if res.Reason == sim.StopCancelled {
-		return TrialResult{Trial: i, Seed: seed}, ctx.Err()
+		if ctx.Err() == nil {
+			err = fmt.Errorf("dining: trial %d: %w", i, err)
+		}
+		return TrialResult{Trial: i, Seed: seed}, err
 	}
 	return newTrialResult(i, seed, res), nil
 }
@@ -462,38 +462,40 @@ func (e *Engine) Repeat(ctx context.Context, n int) ([]*SimResult, error) {
 	return results, nil
 }
 
-// ModelCheck exhaustively explores the system's state space (small instances
-// only) and returns the legacy aggregate analysis report. The scheduler
-// configuration is irrelevant here: the model checker quantifies over all
-// schedulers. Cancelling ctx aborts the exploration. New code should prefer
-// Check, which runs the same analyses as selectable properties, streams
-// per-property verdicts and attaches replayable counterexample traces to
-// failures; see the v2→v3 migration table in CHANGES.md.
-func (e *Engine) ModelCheck(ctx context.Context) (*CheckReport, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prog, err := e.program()
-	if err != nil {
-		return nil, err
-	}
-	return checkWithContext(ctx, e.topo, prog, e.cfg.maxStates, e.cfg.protected, e.cfg.workers, e.cfg.shards)
+// runtimeAlgorithms maps the algorithms that have a goroutine-runtime
+// implementation to it.
+var runtimeAlgorithms = map[string]runtime.Algorithm{
+	LR1:          runtime.LR1,
+	LR2:          runtime.LR2,
+	GDP1:         runtime.GDP1,
+	GDP2:         runtime.GDP2,
+	OrderedForks: runtime.Ordered,
 }
 
 // RunConcurrent executes the system on the goroutine runtime for the given
-// duration (or until every philosopher has eaten targetMeals times).
+// duration (or until every philosopher has eaten targetMeals times). The
+// runtime injects only the crash-family fault models; an engine with a
+// message-level model, or with an algorithm the runtime does not implement,
+// is rejected.
 func (e *Engine) RunConcurrent(ctx context.Context, duration time.Duration, targetMeals int64) (*ConcurrentMetrics, error) {
-	sys := e.system(e.cfg.seed)
-	return sys.RunConcurrent(orBackground(ctx), duration, targetMeals)
-}
-
-// checkWithContext runs the model checker with ctx cancellation wired into
-// the exploration loop.
-func checkWithContext(ctx context.Context, topo *graph.Topology, prog sim.Program, maxStates int, protected []graph.PhilID, workers, shards int) (*CheckReport, error) {
-	opts := modelcheck.Options{MaxStates: maxStates, Protected: protected, Workers: workers, Shards: shards}
-	if ctx.Done() != nil {
-		opts.Interrupt = ctx.Err
+	var faults string
+	if m := e.cfg.faultModel; m != nil {
+		if !runtime.SupportsFault(m.Name()) {
+			return nil, fmt.Errorf("dining: the concurrent runtime injects only crash-family fault models (crash-rejoin, freeze), not %s", m.Spec())
+		}
+		faults = m.Spec()
 	}
-	return modelcheck.Check(topo, prog, opts)
+	alg, ok := runtimeAlgorithms[e.alg]
+	if !ok {
+		return nil, fmt.Errorf("dining: algorithm %q has no concurrent runtime implementation", e.alg)
+	}
+	return runtime.Run(orBackground(ctx), runtime.Config{
+		Topology:                  e.topo,
+		Algorithm:                 alg,
+		M:                         e.cfg.algoOpts.M,
+		TargetMealsPerPhilosopher: targetMeals,
+		MaxDuration:               duration,
+		Seed:                      e.cfg.seed,
+		Faults:                    faults,
+	})
 }

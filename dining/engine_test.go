@@ -3,28 +3,43 @@ package dining_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/dining"
-	"repro/internal/core"
+	"repro/internal/algo"
+	"repro/internal/prng"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// TestTrialsBitIdenticalToParallelTrials is the determinism pin of the v2
+// TestTrialsBitIdenticalToParallelTrials is the determinism pin of the
 // streaming engine: for any worker count, collecting an Engine.Trials stream
-// by index must reproduce the internal core.ParallelTrials-based
-// System.Repeat results exactly — same seeds, same meals, same
-// floating-point aggregates.
+// by index must reproduce, trial by trial, a sequential reference built
+// directly on the simulator — trial i seeded with seed+i·0x9e3779b97f4a7c15,
+// the scheduler on the seed's first split stream — with the same meals,
+// steps and floating-point aggregates.
 func TestTrialsBitIdenticalToParallelTrials(t *testing.T) {
 	t.Parallel()
 	const trials = 13
 	const steps = 8_000
 	topo := dining.Ring(5)
 
-	sys := core.System{Topology: topo, Algorithm: "GDP2", Scheduler: "random", Seed: 9}
-	want, err := sys.Repeat(trials, sim.RunOptions{MaxSteps: steps})
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*sim.Result, trials)
+	for i := range want {
+		prog, err := algo.New("GDP2", algo.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := prng.New(9 + uint64(i)*0x9e3779b97f4a7c15)
+		scheduler, err := sched.New("random", sched.Config{RNG: rng.Split()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = sim.Run(topo, prog, scheduler, rng, sim.RunOptions{MaxSteps: steps}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, workers := range []int{1, 3, 8} {
@@ -56,7 +71,7 @@ func TestTrialsBitIdenticalToParallelTrials(t *testing.T) {
 				g.MaxScheduleGap != w.MaxScheduleGap ||
 				!reflect.DeepEqual(g.EatsBy, w.EatsBy) ||
 				!reflect.DeepEqual(g.ScheduledCount, w.ScheduledCount) {
-				t.Errorf("workers=%d: trial %d differs from core.ParallelTrials: got (eats %d, steps %d, wait %v), want (eats %d, steps %d, wait %v)",
+				t.Errorf("workers=%d: trial %d differs from the reference: got (eats %d, steps %d, wait %v), want (eats %d, steps %d, wait %v)",
 					workers, i, g.TotalEats, g.Steps, g.MeanWaitSteps, w.TotalEats, w.Steps, w.MeanWaitSteps)
 			}
 		}
@@ -68,7 +83,7 @@ func TestTrialsBitIdenticalToParallelTrials(t *testing.T) {
 		}
 		for i := range want {
 			if rep[i].TotalEats != want[i].TotalEats || rep[i].Steps != want[i].Steps {
-				t.Errorf("workers=%d: Repeat trial %d differs from core.ParallelTrials", workers, i)
+				t.Errorf("workers=%d: Repeat trial %d differs from the reference", workers, i)
 			}
 		}
 	}
@@ -116,5 +131,56 @@ func TestTrialsStopsOnConsumerBreak(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Errorf("saw %d results after breaking at 3", seen)
+	}
+}
+
+func TestEngineRunsEveryScheduler(t *testing.T) {
+	t.Parallel()
+	for _, kind := range dining.Schedulers() {
+		eng, err := dining.New(dining.Ring(4), dining.GDP2,
+			dining.WithScheduler(kind), dining.WithSeed(2), dining.WithMaxSteps(3_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Errorf("scheduler %s failed: %v", kind, err)
+		}
+	}
+}
+
+func TestEngineRunConcurrent(t *testing.T) {
+	t.Parallel()
+	eng, err := dining.New(dining.Ring(3), dining.Colored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunConcurrent(context.Background(), time.Second, 1); err == nil {
+		t.Error("RunConcurrent accepted an algorithm without a concurrent implementation")
+	}
+
+	eng, err = dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7),
+		dining.WithFaults("crash-rejoin:0.2,0.5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := eng.RunConcurrent(context.Background(), 5*time.Second, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Crashes == nil || metrics.Rejoins == nil {
+		t.Fatal("faulted run reported no crash counters")
+	}
+	if len(metrics.Starved) != 0 {
+		t.Errorf("starved philosophers under crash-rejoin: %v", metrics.Starved)
+	}
+
+	eng, err = dining.New(dining.Ring(5), dining.LR1, dining.WithFaults("delayed-grants:0.1,2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunConcurrent(context.Background(), time.Second, 1); err == nil {
+		t.Error("RunConcurrent accepted a message-level fault model")
+	} else if !strings.Contains(err.Error(), "crash-family") {
+		t.Errorf("rejection error = %q, want the crash-family wording", err)
 	}
 }

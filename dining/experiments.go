@@ -1,32 +1,39 @@
-package core
+package dining
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/prng"
+	"repro/internal/modelcheck"
+	"repro/internal/par"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/verify"
 )
 
+// This file is the experiment suite: every reproduced artifact of the paper
+// as a Table. Each configuration is one Engine; Monte-Carlo trials run the
+// engine's simulation with seeds derived from the trial index alone and fan
+// out over par.Trials, and exhaustive rows explore the engine's state space.
+// Every table except the wall-clock E-RT is therefore identical for every
+// worker count.
+
 // ExperimentConfig controls how much work each experiment does.
 type ExperimentConfig struct {
 	// Quick reduces trial counts and skips the largest model-checking
-	// instances so the whole suite finishes in roughly a minute; the full
+	// instances so the whole suite finishes in seconds; the full
 	// configuration is what EXPERIMENTS.md reports.
 	Quick bool
 	// Seed is the base seed for all Monte-Carlo experiments.
 	Seed uint64
-	// Workers bounds the number of goroutines used for Monte-Carlo trials.
-	// Zero means one per CPU; 1 forces sequential execution. Every table is
-	// bit-identical whatever the value (see ParallelTrials).
+	// Workers bounds the number of goroutines used for Monte-Carlo trials
+	// and explorations. Zero means one per CPU; 1 forces sequential
+	// execution. Every table is bit-identical whatever the value.
 	Workers int
 	// Faults is an optional fault-model spec in the internal/fault grammar
 	// (for example "crash-rejoin:0.05,0.5"); when non-empty every sequential
@@ -36,10 +43,6 @@ type ExperimentConfig struct {
 	// injects them as park/resume decisions) and is skipped for the
 	// message-level ones.
 	Faults string
-	// Symmetry quotients the model-checking experiments by each topology's
-	// automorphism group (System.Symmetry). Verdict tables are identical;
-	// the reported state counts become per-orbit counts.
-	Symmetry bool
 }
 
 func (c ExperimentConfig) trials(full, quick int) int {
@@ -49,14 +52,39 @@ func (c ExperimentConfig) trials(full, quick int) int {
 	return full
 }
 
-// faultModel resolves the Faults spec once per experiment (nil when empty);
-// per-topology target validation happens inside System when it assembles the
-// program.
-func (c ExperimentConfig) faultModel() (fault.Model, error) {
-	if c.Faults == "" {
-		return nil, nil
+// engine builds the engine of one experiment configuration, with the
+// suite's worker bound and fault model.
+func (c ExperimentConfig) engine(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
+	opts = append(opts, WithWorkers(c.Workers))
+	if c.Faults != "" {
+		opts = append(opts, WithFaults(c.Faults))
 	}
-	return fault.NewFromSpec(c.Faults)
+	return New(topo, algorithm, opts...)
+}
+
+// runTrials runs n independent simulations of eng, trial i with seed
+// base+i*stride, on the suite's workers and returns f of each result in
+// trial order.
+func runTrials[T any](c ExperimentConfig, eng *Engine, n int, base, stride uint64, opts sim.RunOptions, f func(*SimResult) T) ([]T, error) {
+	return par.Trials(c.Workers, n, func(i int) (T, error) {
+		res, err := eng.simulate(context.Background(), base+uint64(i)*stride, opts)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return f(res), nil
+	})
+}
+
+// modelCheck explores eng's state space and runs the starvation-trap
+// analysis; a fair adversary wins when the trap exists and is reachable.
+func modelCheck(eng *Engine) (states int, trap modelcheck.Trap, wins bool, err error) {
+	ss, err := eng.Explore(context.Background())
+	if err != nil {
+		return 0, trap, false, err
+	}
+	trap = ss.FindStarvationTrap()
+	return ss.NumStates(), trap, trap.Exists && trap.Reachable, nil
 }
 
 // Experiment is one entry of the reproduction suite.
@@ -86,13 +114,26 @@ func Experiments() []Experiment {
 	}
 }
 
-// RunAll executes every experiment and returns the tables in order.
-func RunAll(cfg ExperimentConfig) ([]*Table, error) {
-	var out []*Table
-	for _, exp := range Experiments() {
+// RunExperiments executes the experiments with the given IDs, or the whole
+// suite when none are given, and returns their tables in the order run.
+func RunExperiments(cfg ExperimentConfig, ids ...string) ([]*Table, error) {
+	suite := Experiments()
+	selected := suite
+	if len(ids) > 0 {
+		selected = make([]Experiment, len(ids))
+		for i, id := range ids {
+			j := slices.IndexFunc(suite, func(exp Experiment) bool { return exp.ID == id })
+			if j < 0 {
+				return nil, fmt.Errorf("dining: unknown experiment %q", id)
+			}
+			selected[i] = suite[j]
+		}
+	}
+	out := make([]*Table, 0, len(selected))
+	for _, exp := range selected {
 		table, err := exp.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: experiment %s: %w", exp.ID, err)
+			return nil, fmt.Errorf("dining: experiment %s: %w", exp.ID, err)
 		}
 		table.ID = exp.ID
 		table.Title = exp.Title
@@ -100,23 +141,6 @@ func RunAll(cfg ExperimentConfig) ([]*Table, error) {
 		out = append(out, table)
 	}
 	return out, nil
-}
-
-// RunByID executes a single experiment.
-func RunByID(id string, cfg ExperimentConfig) (*Table, error) {
-	for _, exp := range Experiments() {
-		if exp.ID == id {
-			table, err := exp.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			table.ID = exp.ID
-			table.Title = exp.Title
-			table.Reproduces = exp.Reproduces
-			return table, nil
-		}
-	}
-	return nil, fmt.Errorf("core: unknown experiment %q", id)
 }
 
 // --- E-F1 ---
@@ -133,34 +157,23 @@ func runFigure1(ExperimentConfig) (*Table, error) {
 }
 
 // adversaryStarvationRate measures how often the bounded-fair greedy
-// adversary prevents every protected philosopher from eating. Trials fan out
-// over workers goroutines (see ParallelTrials); each trial's seed is derived
-// from its index, so the proportion is identical for every worker count.
-func adversaryStarvationRate(topo *graph.Topology, algorithm string, opts algo.Options, faults fault.Model, protected []graph.PhilID, trials, workers int, steps int64, seed uint64) (stats.Proportion, error) {
+// adversary prevents every protected philosopher from eating.
+func adversaryStarvationRate(cfg ExperimentConfig, topo *Topology, algorithm string, protected []PhilID, n int, steps int64, seed uint64) (stats.Proportion, error) {
 	var prop stats.Proportion
-	starvedByTrial, err := ParallelTrials(workers, trials, func(i int) (bool, error) {
-		sys := System{
-			Topology:    topo,
-			Algorithm:   algorithm,
-			AlgoOptions: opts,
-			Scheduler:   "adversary",
-			Protected:   protected,
-			Seed:        seed + uint64(i)*7919,
-			Faults:      faults,
-		}
-		res, err := sys.Simulate(sim.RunOptions{MaxSteps: steps})
-		if err != nil {
-			return false, err
-		}
+	eng, err := cfg.engine(topo, algorithm, WithScheduler(Adversary), WithProtected(protected...))
+	if err != nil {
+		return prop, err
+	}
+	starvedByTrial, err := runTrials(cfg, eng, n, seed, 7919, sim.RunOptions{MaxSteps: steps}, func(res *SimResult) bool {
 		if len(protected) == 0 {
-			return res.TotalEats == 0, nil
+			return res.TotalEats == 0
 		}
 		for _, p := range protected {
 			if res.EatsBy[p] > 0 {
-				return false, nil
+				return false
 			}
 		}
-		return true, nil
+		return true
 	})
 	if err != nil {
 		return prop, err
@@ -177,14 +190,10 @@ func runSection3(cfg ExperimentConfig) (*Table, error) {
 	trials := cfg.trials(200, 25)
 	steps := int64(30_000)
 	topo := graph.Figure1A()
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{Header: []string{"algorithm", "no-progress runs", "rate (Wilson 95%)", "paper bound"}}
 	bound := verify.Section3Bound(0.5)
 	for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2"} {
-		prop, err := adversaryStarvationRate(topo, name, algo.Options{}, flt, nil, trials, cfg.Workers, steps, cfg.Seed+11)
+		prop, err := adversaryStarvationRate(cfg, topo, name, nil, trials, steps, cfg.Seed+11)
 		if err != nil {
 			return nil, err
 		}
@@ -204,10 +213,6 @@ func runSection3(cfg ExperimentConfig) (*Table, error) {
 
 func runTheorem1(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"instance", "algorithm", "protected", "method", "fair adversary wins?", "detail"}}
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 
 	type mcCase struct {
 		topo      *graph.Topology
@@ -227,13 +232,16 @@ func runTheorem1(cfg ExperimentConfig) (*Table, error) {
 		if cfg.Quick && c.skipQuick {
 			continue
 		}
-		sys := System{Topology: c.topo, Algorithm: c.algorithm, Protected: c.protected, Faults: flt}
-		rep, err := sys.ModelCheck(0)
+		eng, err := cfg.engine(c.topo, c.algorithm, WithProtected(c.protected...))
 		if err != nil {
 			return nil, err
 		}
-		detail := fmt.Sprintf("%d states, safe region %d, trap %d", rep.States, rep.Trap.SafeRegionStates, rep.Trap.States)
-		t.AddRow(c.topo.Name(), c.algorithm, protectedLabel(c.protected), "exhaustive model check", rep.FairAdversaryWins(), detail)
+		states, trap, wins, err := modelCheck(eng)
+		if err != nil {
+			return nil, err
+		}
+		detail := fmt.Sprintf("%d states, safe region %d, trap %d", states, trap.SafeRegionStates, trap.States)
+		t.AddRow(c.topo.Name(), c.algorithm, protectedLabel(c.protected), "exhaustive model check", wins, detail)
 	}
 
 	// Empirical rate of the heuristic adversary on a larger Theorem 1 instance.
@@ -242,7 +250,7 @@ func runTheorem1(cfg ExperimentConfig) (*Table, error) {
 	for i := range ringIDs {
 		ringIDs[i] = graph.PhilID(i)
 	}
-	prop, err := adversaryStarvationRate(graph.Figure1D(), "LR1", algo.Options{}, flt, ringIDs, trials, cfg.Workers, 30_000, cfg.Seed+23)
+	prop, err := adversaryStarvationRate(cfg, graph.Figure1D(), "LR1", ringIDs, trials, 30_000, cfg.Seed+23)
 	if err != nil {
 		return nil, err
 	}
@@ -258,21 +266,20 @@ func runTheorem1(cfg ExperimentConfig) (*Table, error) {
 
 func runTheorem2(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"instance", "algorithm", "method", "fair adversary wins?", "detail"}}
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 	for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2"} {
-		sys := System{Topology: graph.Theorem2Minimal(), Algorithm: name, Faults: flt}
-		rep, err := sys.ModelCheck(0)
+		eng, err := cfg.engine(graph.Theorem2Minimal(), name)
 		if err != nil {
 			return nil, err
 		}
-		detail := fmt.Sprintf("%d states, trap %d", rep.States, rep.Trap.States)
-		t.AddRow(graph.Theorem2Minimal().Name(), name, "exhaustive model check", rep.FairAdversaryWins(), detail)
+		states, trap, wins, err := modelCheck(eng)
+		if err != nil {
+			return nil, err
+		}
+		detail := fmt.Sprintf("%d states, trap %d", states, trap.States)
+		t.AddRow(graph.Theorem2Minimal().Name(), name, "exhaustive model check", wins, detail)
 	}
 	trials := cfg.trials(200, 25)
-	prop, err := adversaryStarvationRate(graph.Theorem2Minimal(), "LR2", algo.Options{}, flt, nil, trials, cfg.Workers, 30_000, cfg.Seed+31)
+	prop, err := adversaryStarvationRate(cfg, graph.Theorem2Minimal(), "LR2", nil, trials, 30_000, cfg.Seed+31)
 	if err != nil {
 		return nil, err
 	}
@@ -286,108 +293,100 @@ func runTheorem2(cfg ExperimentConfig) (*Table, error) {
 
 func runTheorem3(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"topology", "scheduler", "trials with progress", "mean steps to first meal"}}
-	trials := cfg.trials(100, 15)
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
+	n := cfg.trials(100, 15)
 	topos := []*graph.Topology{graph.Figure1A(), graph.Figure1B(), graph.Figure1C(), graph.Figure1D(), graph.Ring(7), graph.RandomMultigraph(18, 7, 4242)}
 	for _, topo := range topos {
-		for _, kind := range []string{"random", "round-robin", "adversary"} {
-			type trialResult struct {
-				progressed bool
-				firstEat   float64
-			}
-			perTrial, err := ParallelTrials(cfg.Workers, trials, func(i int) (trialResult, error) {
-				sys := System{Topology: topo, Algorithm: "GDP1", Scheduler: kind, Seed: cfg.Seed + uint64(i)*131, Faults: flt}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-				if err != nil {
-					return trialResult{}, err
-				}
-				return trialResult{progressed: res.Progress(), firstEat: float64(res.FirstEatStep)}, nil
-			})
+		for _, kind := range []string{Random, RoundRobin, Adversary} {
+			eng, err := cfg.engine(topo, GDP1, WithScheduler(kind))
 			if err != nil {
 				return nil, err
 			}
-			var progressed int
-			var firstMeal stats.Running
-			for _, tr := range perTrial {
-				if tr.progressed {
-					progressed++
-					firstMeal.Add(tr.firstEat)
-				}
+			progressed, firstMeal, err := firstMeals(cfg, eng, n, cfg.Seed, 131)
+			if err != nil {
+				return nil, err
 			}
-			t.AddRow(topo.Name(), kind, fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", firstMeal.Mean()))
+			t.AddRow(topo.Name(), kind, fmt.Sprintf("%d/%d", progressed, n), fmt.Sprintf("%.1f", firstMeal.Mean()))
 		}
 	}
 	t.AddNote("Theorem 3 asserts progress with probability 1 under every fair scheduler; every trial of every configuration above made progress, including under the adversary that defeats LR1.")
 	return t, nil
 }
 
+// firstMeals runs n trials of eng, each stopped at its first meal, and
+// returns how many made progress and the mean step of their first meals.
+func firstMeals(cfg ExperimentConfig, eng *Engine, n int, seed, stride uint64) (int, stats.Running, error) {
+	var firstMeal stats.Running
+	perTrial, err := runTrials(cfg, eng, n, seed, stride, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1}, func(res *SimResult) int64 {
+		if !res.Progress() {
+			return -1
+		}
+		return res.FirstEatStep
+	})
+	if err != nil {
+		return 0, firstMeal, err
+	}
+	progressed := 0
+	for _, step := range perTrial {
+		if step >= 0 {
+			progressed++
+			firstMeal.Add(float64(step))
+		}
+	}
+	return progressed, firstMeal, nil
+}
+
 // --- E-T4 ---
 
 func runTheorem4(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"instance", "variant", "method", "individual starvation possible?", "detail"}}
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 
-	// Exhaustive check on the minimal generalized instance.
-	theta := graph.Theorem2Minimal()
-	for _, variant := range []struct {
-		label string
-		opts  algo.Options
-	}{
-		{"GDP2 as printed (courtesy on first fork)", algo.Options{}},
-		{"GDP2 with courtesy on both forks", algo.Options{CourtesyOnBothForks: true}},
-	} {
-		sys := System{Topology: theta, Algorithm: "GDP2", AlgoOptions: variant.opts, Protected: []graph.PhilID{0}, Faults: flt, Symmetry: cfg.Symmetry}
-		rep, err := sys.ModelCheck(0)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(theta.Name(), variant.label, "exhaustive model check", rep.FairAdversaryWins(), fmt.Sprintf("%d states", rep.States))
+	// Exhaustive checks on the minimal generalized instance (and, in the
+	// full pass, on the classic ring), starving philosopher 0.
+	type variant struct {
+		topo      *Topology
+		label     string
+		algorithm string
+		opts      AlgorithmOptions
+	}
+	const asPrinted, bothForks = "GDP2 as printed (courtesy on first fork)", "GDP2 with courtesy on both forks"
+	theta, ring3 := graph.Theorem2Minimal(), graph.Ring(3)
+	variants := []variant{
+		{theta, asPrinted, GDP2, AlgorithmOptions{}},
+		{theta, bothForks, GDP2, AlgorithmOptions{CourtesyOnBothForks: true}},
 	}
 	if !cfg.Quick {
-		for _, variant := range []struct {
-			label string
-			opts  algo.Options
-		}{
-			{"GDP2 as printed (courtesy on first fork)", algo.Options{}},
-			{"GDP2 with courtesy on both forks", algo.Options{CourtesyOnBothForks: true}},
-			{"GDP1 (no courtesy)", algo.Options{}},
-		} {
-			name := "GDP2"
-			if variant.label == "GDP1 (no courtesy)" {
-				name = "GDP1"
-			}
-			sys := System{Topology: graph.Ring(3), Algorithm: name, AlgoOptions: variant.opts, Protected: []graph.PhilID{0}, Faults: flt, Symmetry: cfg.Symmetry}
-			rep, err := sys.ModelCheck(0)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow("ring-3", variant.label, "exhaustive model check", rep.FairAdversaryWins(), fmt.Sprintf("%d states", rep.States))
-		}
+		variants = append(variants,
+			variant{ring3, asPrinted, GDP2, AlgorithmOptions{}},
+			variant{ring3, bothForks, GDP2, AlgorithmOptions{CourtesyOnBothForks: true}},
+			variant{ring3, "GDP1 (no courtesy)", GDP1, AlgorithmOptions{}})
 	}
-
-	// Monte-Carlo lockout check under fair (non-adversarial) schedulers.
-	trials := cfg.trials(50, 8)
-	for _, topo := range []*graph.Topology{graph.Figure1A(), graph.RingWithChord(6, 3)} {
-		prog, err := algo.New("GDP2", algo.Options{})
+	for _, v := range variants {
+		eng, err := cfg.engine(v.topo, v.algorithm, WithAlgorithmOptions(v.opts), WithProtected(0))
 		if err != nil {
 			return nil, err
 		}
-		if flt != nil {
-			if err := flt.Validate(topo); err != nil {
-				return nil, err
-			}
-			prog = flt.Wrap(topo, prog)
+		states, _, wins, err := modelCheck(eng)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(v.topo.Name(), v.label, "exhaustive model check", wins, fmt.Sprintf("%d states", states))
+	}
+
+	// Monte-Carlo lockout check under a fair (non-adversarial) scheduler.
+	trials := cfg.trials(50, 8)
+	for _, topo := range []*graph.Topology{graph.Figure1A(), graph.RingWithChord(6, 3)} {
+		eng, err := cfg.engine(topo, GDP2)
+		if err != nil {
+			return nil, err
+		}
+		prog, err := eng.program()
+		if err != nil {
+			return nil, err
 		}
 		check := verify.LockoutCheck{
 			Topology:  topo,
 			Algorithm: prog,
-			Scheduler: randomSchedulerFactory,
+			Scheduler: eng.schedulerFactory(),
 			Trials:    trials,
 			MaxSteps:  150_000,
 			MealsEach: 1,
@@ -411,16 +410,12 @@ func runTheorem4(cfg ExperimentConfig) (*Table, error) {
 
 func runEfficiency(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"ring size", "algorithm", "steps per meal", "mean wait (steps)", "Jain fairness"}}
-	trials := cfg.trials(10, 3)
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
+	n := cfg.trials(10, 3)
 	sizes := []int{5, 11, 25}
 	if cfg.Quick {
 		sizes = []int{5, 11}
 	}
-	algorithms := []string{"LR1", "LR2", "GDP1", "GDP2", "ordered-forks", "ticket-box"}
+	algorithms := []string{LR1, LR2, GDP1, GDP2, OrderedForks, TicketBox}
 	for _, size := range sizes {
 		topo := graph.Ring(size)
 		for _, name := range algorithms {
@@ -428,21 +423,20 @@ func runEfficiency(cfg ExperimentConfig) (*Table, error) {
 				ate                      bool
 				stepsPerMeal, wait, jain float64
 			}
-			perTrial, err := ParallelTrials(cfg.Workers, trials, func(i int) (trialResult, error) {
-				sys := System{Topology: topo, Algorithm: name, Scheduler: "random", Seed: cfg.Seed + uint64(i)*997, Faults: flt}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 50_000})
-				if err != nil {
-					return trialResult{}, err
-				}
+			eng, err := cfg.engine(topo, name)
+			if err != nil {
+				return nil, err
+			}
+			perTrial, err := runTrials(cfg, eng, n, cfg.Seed, 997, sim.RunOptions{MaxSteps: 50_000}, func(res *SimResult) trialResult {
 				if res.TotalEats == 0 {
-					return trialResult{}, nil
+					return trialResult{}
 				}
 				return trialResult{
 					ate:          true,
 					stepsPerMeal: float64(res.Steps) / float64(res.TotalEats),
 					wait:         res.MeanWaitSteps,
 					jain:         stats.JainIndex(res.EatsBy),
-				}, nil
+				}
 			})
 			if err != nil {
 				return nil, err
@@ -467,47 +461,21 @@ func runEfficiency(cfg ExperimentConfig) (*Table, error) {
 
 func runNumberRangeSweep(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"topology", "m", "analytic distinct-draw bound", "measured progress trials", "mean steps to first meal"}}
-	trials := cfg.trials(60, 10)
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
+	n := cfg.trials(60, 10)
 	topo := graph.Figure1A()
 	k := topo.NumForks()
 	for _, mult := range []int{1, 2, 4, 8} {
 		m := k * mult
 		bound := verify.DistinctNumberBound(m, k)
-		type trialResult struct {
-			progressed bool
-			firstEat   float64
-		}
-		perTrial, err := ParallelTrials(cfg.Workers, trials, func(i int) (trialResult, error) {
-			sys := System{
-				Topology:    topo,
-				Algorithm:   "GDP1",
-				AlgoOptions: algo.Options{M: m},
-				Scheduler:   "adversary",
-				Seed:        cfg.Seed + uint64(i)*313,
-				Faults:      flt,
-			}
-			res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-			if err != nil {
-				return trialResult{}, err
-			}
-			return trialResult{progressed: res.Progress(), firstEat: float64(res.FirstEatStep)}, nil
-		})
+		eng, err := cfg.engine(topo, GDP1, WithAlgorithmOptions(AlgorithmOptions{M: m}), WithScheduler(Adversary))
 		if err != nil {
 			return nil, err
 		}
-		var progressed int
-		var firstMeal stats.Running
-		for _, tr := range perTrial {
-			if tr.progressed {
-				progressed++
-				firstMeal.Add(tr.firstEat)
-			}
+		progressed, firstMeal, err := firstMeals(cfg, eng, n, cfg.Seed, 313)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(topo.Name(), m, fmt.Sprintf("%.3f", bound), fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", firstMeal.Mean()))
+		t.AddRow(topo.Name(), m, fmt.Sprintf("%.3f", bound), fmt.Sprintf("%d/%d", progressed, n), fmt.Sprintf("%.1f", firstMeal.Mean()))
 	}
 	t.AddNote("the Theorem 3 progress bound improves with m (the probability that k random numbers are pairwise distinct, m!/(mᵏ(m−k)!)); progress itself holds for every m ≥ k, as predicted.")
 	return t, nil
@@ -538,9 +506,12 @@ func runRuntimeThroughput(cfg ExperimentConfig) (*Table, error) {
 	}
 	topos := []*graph.Topology{graph.Ring(8), graph.Figure1A()}
 	for _, topo := range topos {
-		for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2", "ordered-forks"} {
-			sys := System{Topology: topo, Algorithm: name, Seed: cfg.Seed + 5, Faults: model}
-			metrics, err := sys.RunConcurrent(context.Background(), duration, 0)
+		for _, name := range []string{LR1, LR2, GDP1, GDP2, OrderedForks} {
+			eng, err := cfg.engine(topo, name, WithSeed(cfg.Seed+5))
+			if err != nil {
+				return nil, err
+			}
+			metrics, err := eng.RunConcurrent(context.Background(), duration, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -568,10 +539,4 @@ func protectedLabel(protected []graph.PhilID) string {
 		return "all"
 	}
 	return fmt.Sprintf("%v", protected)
-}
-
-// randomSchedulerFactory adapts the sched package's uniform scheduler to the
-// verify.SchedulerFactory signature.
-func randomSchedulerFactory(rng *prng.Source) sim.Scheduler {
-	return sched.NewUniformRandom(rng)
 }

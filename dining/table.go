@@ -1,15 +1,16 @@
-package core
+package dining
 
 import (
 	"fmt"
 	"strings"
 )
 
-// Table is one reproduced artifact: a titled table of results plus free-form
-// notes, rendered to Markdown for EXPERIMENTS.md, to plain text for the CLI,
-// or to JSON (the field names below are a stable output format).
+// Table is a titled table of results plus free-form notes — one reproduced
+// artifact of the experiment suite, or a sweep matrix — rendered to Markdown
+// for EXPERIMENTS.md, to plain text for the CLI, or to JSON (the field names
+// below are a stable output format).
 type Table struct {
-	// ID is the experiment identifier from DESIGN.md (for example "E-T3").
+	// ID is the experiment identifier (for example "E-T3").
 	ID string `json:"id"`
 	// Title is a one-line description.
 	Title string `json:"title"`

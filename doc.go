@@ -70,6 +70,19 @@
 //
 //	sharded store  →  exploration  →  graphalg analyses  →  properties  →  faults  →  serve / CLI
 //
+// dining.Engine is the only place a system is assembled: it resolves the
+// algorithm, wraps it in the fault model, builds the scheduler on the first
+// split stream of the run's seed, and hands the result to the simulator, the
+// explorer, trace replay and the goroutine runtime. The CLI tools, dpserve
+// and the experiment suite (dining.RunExperiments, rendered by dpbench, one
+// engine per table row) all go through it, so the tables that reproduce the
+// paper come from the same code as the verdicts the checker serves. Code
+// registered from outside the repository — algorithms, schedulers,
+// properties — runs on the worker goroutines of internal/par and of the
+// exploration phases; a panic there is recovered into an error that names
+// the trial, or the exploration phase and state, the same at any worker
+// count, so one broken registrant fails its request instead of the process.
+//
 // At the bottom, internal/modelcheck stores the explored MDP in 2^k
 // independently-owned shards (dining.WithShards, -shards; 0 = match the
 // worker count). Each shard holds its own intern table, key arena and flat
@@ -136,9 +149,10 @@
 // select properties with -props, and the engine tools inject fault models
 // with -faults) and share the internal/cli config layer, so registered
 // extensions appear in every tool's flags and error messages. The
-// reproduction experiments are described in DESIGN.md and their results in
-// EXPERIMENTS.md. The benchmark suite in bench_test.go has one benchmark per
-// reproduced table or figure of the paper.
+// reproduction experiments are dining.Experiments; dpbench renders them, and
+// its golden test pins every table byte for byte. The benchmark suite in
+// bench_test.go has one benchmark per reproduced table or figure of the
+// paper.
 //
 // # Enforced invariants
 //

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+
 	"repro/internal/registry"
 )
 
@@ -23,11 +25,19 @@ func RegisterTopology(name string, ctor TopologyCtor) { topoReg.Register(name, c
 
 // NewTopology builds the named registered topology with size parameter n
 // (n <= 0 selects the constructor's default size; fixed topologies ignore n).
-func NewTopology(name string, n int) (*Topology, error) {
+// A constructor that panics — the builders do on sizes too small for their
+// shape, such as a ring of one philosopher — makes NewTopology return the
+// panic as an error, since n usually comes from a flag or a request.
+func NewTopology(name string, n int) (topo *Topology, err error) {
 	ctor, err := topoReg.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			topo, err = nil, fmt.Errorf("graph: topology %q with n=%d: %v", name, n, r)
+		}
+	}()
 	return ctor(n), nil
 }
 

@@ -52,3 +52,19 @@ func TestTopologyRegistryDuplicatePanics(t *testing.T) {
 	}()
 	RegisterTopology("test-graph-dup", func(int) *Topology { return Ring(3) })
 }
+
+// TestTopologyRegistryRejectsTooSmallSizes checks that a size too small for
+// a builder's shape is an error, not a panic.
+func TestTopologyRegistryRejectsTooSmallSizes(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"ring", "doubled-polygon", "ring-chord", "ring-pendant", "grid", "complete"} {
+		topo, err := NewTopology(name, 1)
+		if err == nil || topo != nil {
+			t.Errorf("NewTopology(%q, 1) = %v, %v; want an error", name, topo, err)
+			continue
+		}
+		if want := `graph: topology "` + name + `" with n=1: `; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("NewTopology(%q, 1) error %q, want prefix %q", name, err, want)
+		}
+	}
+}

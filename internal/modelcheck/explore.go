@@ -77,6 +77,14 @@
 // shards, and only the states up to the cut are expanded. This is the point
 // at which a state-by-state breadth-first search stops, for every (workers,
 // shards) pair.
+//
+// The program's Outcomes and Apply run inside the expand and gather phases,
+// on worker goroutines when workers > 1. A panic there — programs may be
+// registered from outside the repository — is recovered and returned as
+// Explore's error, naming the phase and the frontier state being expanded
+// ("modelcheck: expand phase, state 17 panicked: ..."). The state is the
+// lowest-numbered one whose expansion panicked, so the error is the same for
+// every (workers, shards) pair.
 package modelcheck
 
 import (
@@ -501,6 +509,9 @@ type scratch struct {
 	resolve []int32
 	created []bool
 	err     error
+	// at is the chunk-local index of the frontier state being expanded, or
+	// whose child is being rebuilt, so a panic can name the state.
+	at int
 }
 
 func (s *scratch) takeFree() *sim.World {
@@ -919,6 +930,11 @@ func (e *explorer) explore() error {
 
 		// Phase 4: rows.
 		e.run(phaseRows, len(ss.shards))
+		for g := range e.shardScr {
+			if err := e.shardScr[g].err; err != nil {
+				return err
+			}
+		}
 		if truncated {
 			ss.Truncated = true
 			return nil
@@ -955,8 +971,24 @@ func (e *explorer) stride(p phase, j, k, n int) {
 	}
 }
 
-// step runs phase p for chunk or shard i.
+// phaseNames names the phases in panic errors.
+var phaseNames = [...]string{phaseExpand: "expand", phaseIntern: "intern", phaseGather: "gather", phaseRows: "rows"}
+
+// step runs phase p for chunk or shard i. A panic becomes the error of the
+// chunk or shard, which the phase's caller checks in index order like every
+// other error, so the reported one does not depend on the worker count.
 func (e *explorer) step(p phase, i int) {
+	defer func() {
+		r := recover()
+		switch {
+		case r == nil:
+		case p == phaseExpand || p == phaseGather:
+			state := e.levelStart + e.chunkLo[i] + e.scratches[i].at
+			e.scratches[i].err = fmt.Errorf("modelcheck: %s phase, state %d panicked: %v", phaseNames[p], state, r)
+		default:
+			e.shardScr[i].err = fmt.Errorf("modelcheck: %s phase panicked: %v", phaseNames[p], r)
+		}
+	}()
 	switch p {
 	case phaseExpand:
 		e.expandChunk(&e.scratches[i], e.front[e.chunkLo[i]:e.chunkLo[i+1]])
@@ -991,6 +1023,7 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 				return
 			}
 		}
+		s.at = k
 		w := entries[k].w
 		outs := len(s.refs)
 		s.counts = reserve(s.counts, ss.NumPhils)
@@ -1146,6 +1179,7 @@ func (e *explorer) gatherChunk(ci int) {
 		for ; done < int(p.parent); done++ {
 			s.putFree(entries[done].w)
 		}
+		s.at = int(p.parent)
 		n := int(s.counts[int(p.parent)*ss.NumPhils+int(p.phil)])
 		w, err := e.successor(s, entries[p.parent].w, s.takeFree(), graph.PhilID(p.phil), int(p.outcome), n)
 		if err != nil {

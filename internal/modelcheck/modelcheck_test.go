@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"encoding/hex"
-	"strings"
 	"testing"
 
 	"repro/internal/algo"
@@ -20,16 +19,36 @@ func mustProg(t *testing.T, name string, opts algo.Options) sim.Program {
 	return prog
 }
 
-func runCheck(t *testing.T, topo *graph.Topology, algoName string, opts algo.Options, protected []graph.PhilID) *Report {
+// checked is the headline analysis of one explored instance: its state
+// count, deadlock and dead-region states, and its starvation trap.
+type checked struct {
+	States           int
+	DeadlockStates   int
+	DeadRegionStates int
+	Trap             Trap
+}
+
+// fairAdversaryWins reports the headline verdict: a fair adversary can, with
+// positive probability, starve the protected set forever.
+func (c checked) fairAdversaryWins() bool { return c.Trap.Exists && c.Trap.Reachable }
+
+// runCheck explores the instance and runs the deadlock, dead-region and
+// starvation-trap analyses on the explored space.
+func runCheck(t *testing.T, topo *graph.Topology, algoName string, opts algo.Options, protected []graph.PhilID) checked {
 	t.Helper()
-	rep, err := Check(topo, mustProg(t, algoName, opts), Options{Protected: protected})
+	ss, err := Explore(topo, mustProg(t, algoName, opts), Options{Protected: protected})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Truncated {
+	if ss.Truncated {
 		t.Fatalf("%s on %s: exploration truncated; the instance is supposed to fit", algoName, topo.Name())
 	}
-	return rep
+	return checked{
+		States:           ss.NumStates(),
+		DeadlockStates:   len(ss.DeadlockStates()),
+		DeadRegionStates: len(ss.DeadRegionStates()),
+		Trap:             ss.FindStarvationTrap(),
+	}
 }
 
 func TestExploreBasicProperties(t *testing.T) {
@@ -128,8 +147,8 @@ func TestLR1NoTrapOnClassicRing(t *testing.T) {
 	// probability 1 on the simple ring, so no fair adversary has a starvation
 	// trap against global progress.
 	rep := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, nil)
-	if rep.FairAdversaryWins() {
-		t.Errorf("found a global-progress trap for LR1 on the classic ring:\n%s", rep)
+	if rep.fairAdversaryWins() {
+		t.Errorf("found a global-progress trap for LR1 on the classic ring:\n%+v", rep)
 	}
 }
 
@@ -140,19 +159,19 @@ func TestTheorem1LR1TrapOnRingWithExtraArc(t *testing.T) {
 	// ever eating. The minimal instance is a triangle plus one parallel arc.
 	ring := []graph.PhilID{0, 1, 2}
 	rep := runCheck(t, graph.Theorem1Minimal(), "LR1", algo.Options{}, ring)
-	if !rep.FairAdversaryWins() {
-		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s:\n%s", graph.Theorem1Minimal().Name(), rep)
+	if !rep.fairAdversaryWins() {
+		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s:\n%+v", graph.Theorem1Minimal().Name(), rep)
 	}
 	// The same holds on the ring-with-pendant form, where the extra arc leads
 	// to a private fork.
 	rep2 := runCheck(t, graph.RingWithPendant(3), "LR1", algo.Options{}, ring)
-	if !rep2.FairAdversaryWins() {
-		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s:\n%s", graph.RingWithPendant(3).Name(), rep2)
+	if !rep2.fairAdversaryWins() {
+		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s:\n%+v", graph.RingWithPendant(3).Name(), rep2)
 	}
 	// And LR1 even fails for global progress there (protect everyone).
 	rep3 := runCheck(t, graph.Theorem1Minimal(), "LR1", algo.Options{}, nil)
-	if !rep3.FairAdversaryWins() {
-		t.Errorf("expected a global-progress trap for LR1 on theorem1-minimal:\n%s", rep3)
+	if !rep3.fairAdversaryWins() {
+		t.Errorf("expected a global-progress trap for LR1 on theorem1-minimal:\n%+v", rep3)
 	}
 }
 
@@ -162,8 +181,8 @@ func TestTheorem2LR2TrapOnThetaGraph(t *testing.T) {
 	// fair adversary defeats LR2 (and LR1) — here even for global progress.
 	for _, name := range []string{"LR1", "LR2"} {
 		rep := runCheck(t, graph.Theorem2Minimal(), name, algo.Options{}, nil)
-		if !rep.FairAdversaryWins() {
-			t.Errorf("Theorem 2: expected a starvation trap for %s on the theta graph:\n%s", name, rep)
+		if !rep.fairAdversaryWins() {
+			t.Errorf("Theorem 2: expected a starvation trap for %s on the theta graph:\n%+v", name, rep)
 		}
 	}
 }
@@ -180,8 +199,8 @@ func TestLR2SurvivesWhereOnlyTheorem1Applies(t *testing.T) {
 	// the Theorem 2 structure) LR2 has no starvation trap against the ring.
 	ring := []graph.PhilID{0, 1, 2}
 	rep := runCheck(t, graph.RingWithPendant(3), "LR2", algo.Options{}, ring)
-	if rep.FairAdversaryWins() {
-		t.Errorf("LR2 should not be defeatable on ring-with-pendant (no Theorem 2 structure):\n%s", rep)
+	if rep.fairAdversaryWins() {
+		t.Errorf("LR2 should not be defeatable on ring-with-pendant (no Theorem 2 structure):\n%+v", rep)
 	}
 }
 
@@ -192,8 +211,8 @@ func TestTheorem3GDP1NoProgressTrap(t *testing.T) {
 	// the minimal counterexample topologies that defeat LR1/LR2.
 	for _, topo := range []*graph.Topology{graph.Theorem2Minimal(), graph.Theorem1Minimal(), graph.Ring(3)} {
 		rep := runCheck(t, topo, "GDP1", algo.Options{}, nil)
-		if rep.FairAdversaryWins() {
-			t.Errorf("Theorem 3: found a global-progress trap for GDP1 on %s:\n%s", topo.Name(), rep)
+		if rep.fairAdversaryWins() {
+			t.Errorf("Theorem 3: found a global-progress trap for GDP1 on %s:\n%+v", topo.Name(), rep)
 		}
 	}
 }
@@ -203,8 +222,8 @@ func TestGDP1IsNotLockoutFree(t *testing.T) {
 	// The paper's Section 5 motivation: GDP1 ensures progress but not
 	// lockout-freedom — a fair adversary can starve an individual philosopher.
 	rep := runCheck(t, graph.Theorem2Minimal(), "GDP1", algo.Options{}, []graph.PhilID{0})
-	if !rep.FairAdversaryWins() {
-		t.Errorf("expected an individual-starvation trap for GDP1 (it is not lockout-free):\n%s", rep)
+	if !rep.fairAdversaryWins() {
+		t.Errorf("expected an individual-starvation trap for GDP1 (it is not lockout-free):\n%+v", rep)
 	}
 }
 
@@ -213,8 +232,8 @@ func TestTheorem4GDP2LockoutFreedomOnTheta(t *testing.T) {
 	// Theorem 4 on the minimal generalized instance: no fair adversary can
 	// starve an individual GDP2 philosopher on the theta graph.
 	rep := runCheck(t, graph.Theorem2Minimal(), "GDP2", algo.Options{}, []graph.PhilID{0})
-	if rep.FairAdversaryWins() {
-		t.Errorf("Theorem 4: found an individual-starvation trap for GDP2 on the theta graph:\n%s", rep)
+	if rep.fairAdversaryWins() {
+		t.Errorf("Theorem 4: found an individual-starvation trap for GDP2 on the theta graph:\n%+v", rep)
 	}
 }
 
@@ -234,13 +253,13 @@ func TestGDP2FirstForkCourtesyGapOnClassicRing(t *testing.T) {
 	victim := []graph.PhilID{0}
 
 	asPrinted := runCheck(t, graph.Ring(3), "GDP2", algo.Options{}, victim)
-	if !asPrinted.FairAdversaryWins() {
-		t.Errorf("expected the first-fork-only courtesy reading of GDP2 to admit an individual-starvation trap on Ring(3):\n%s", asPrinted)
+	if !asPrinted.fairAdversaryWins() {
+		t.Errorf("expected the first-fork-only courtesy reading of GDP2 to admit an individual-starvation trap on Ring(3):\n%+v", asPrinted)
 	}
 
 	strengthened := runCheck(t, graph.Ring(3), "GDP2", algo.Options{CourtesyOnBothForks: true}, victim)
-	if strengthened.FairAdversaryWins() {
-		t.Errorf("GDP2 with courtesy on both forks should have no individual-starvation trap on Ring(3):\n%s", strengthened)
+	if strengthened.fairAdversaryWins() {
+		t.Errorf("GDP2 with courtesy on both forks should have no individual-starvation trap on Ring(3):\n%+v", strengthened)
 	}
 }
 
@@ -249,12 +268,12 @@ func TestLR2LockoutFreeOnClassicRing(t *testing.T) {
 	// Lehmann & Rabin's second algorithm is lockout-free on the classic ring;
 	// LR1 is not (it only guarantees progress).
 	lr2 := runCheck(t, graph.Ring(3), "LR2", algo.Options{}, []graph.PhilID{0})
-	if lr2.FairAdversaryWins() {
-		t.Errorf("LR2 should be lockout-free on the classic ring:\n%s", lr2)
+	if lr2.fairAdversaryWins() {
+		t.Errorf("LR2 should be lockout-free on the classic ring:\n%+v", lr2)
 	}
 	lr1 := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, []graph.PhilID{0})
-	if !lr1.FairAdversaryWins() {
-		t.Errorf("LR1 is not lockout-free even on the classic ring; expected an individual trap:\n%s", lr1)
+	if !lr1.fairAdversaryWins() {
+		t.Errorf("LR1 is not lockout-free even on the classic ring; expected an individual trap:\n%+v", lr1)
 	}
 }
 
@@ -359,17 +378,6 @@ func TestFindStarvationTrapAgainstMatchesConfiguredSet(t *testing.T) {
 	}
 }
 
-func TestReportString(t *testing.T) {
-	t.Parallel()
-	rep := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, nil)
-	s := rep.String()
-	for _, want := range []string{"LR1", "ring-3", "states:", "VERDICT"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestNaiveBaselineDeadlocksAndOthersDoNot(t *testing.T) {
 	t.Parallel()
 	// The naive symmetric deterministic baseline (everyone left-first,
@@ -378,7 +386,7 @@ func TestNaiveBaselineDeadlocksAndOthersDoNot(t *testing.T) {
 	// deadlock states and a non-empty dead region.
 	naive := runCheck(t, graph.Ring(3), "naive-left-first", algo.Options{}, nil)
 	if naive.DeadlockStates == 0 || naive.DeadRegionStates == 0 {
-		t.Errorf("expected the naive left-first baseline to deadlock on a ring:\n%s", naive)
+		t.Errorf("expected the naive left-first baseline to deadlock on a ring:\n%+v", naive)
 	}
 	// The colored and ordered-fork baselines are deadlock-free on the ring.
 	for _, name := range []string{"colored", "ordered-forks"} {

@@ -1,16 +1,22 @@
 // Package par provides the generic worker-pool trial runner shared by the
-// experiment layer (core) and the Monte-Carlo checks (verify). It is a leaf
-// package so both can import it without a cycle.
+// dining engine, its experiment suite and the Monte-Carlo checks (verify).
+// It is a leaf package so all of them can import it without a cycle.
 //
 // The contract that makes parallel trials deterministic lives here: trial
 // functions derive all randomness from their index, results land at their
 // index, and callers aggregate in index order — so scheduling is
 // unobservable and every aggregate (including floating-point folds) is
 // bit-identical to a sequential run.
+//
+// Trial functions run code registered from outside the repository
+// (algorithms, schedulers, properties), so a panic inside one must not take
+// down a long-lived process: both runners recover it and report it as the
+// trial's error, "par: trial 3 panicked: ...", the same at any worker count.
 package par
 
 import (
 	"context"
+	"fmt"
 	"iter"
 	"runtime"
 	"sync"
@@ -26,7 +32,8 @@ import (
 //
 // If any trial fails, Trials returns the error of the lowest-indexed failing
 // trial (so the reported error is deterministic too) and remaining trials
-// may be skipped.
+// may be skipped. A panicking trial fails with the error described in the
+// package comment.
 func Trials[T any](workers, trials int, run func(trial int) (T, error)) ([]T, error) {
 	if trials <= 0 {
 		return nil, nil
@@ -41,7 +48,7 @@ func Trials[T any](workers, trials int, run func(trial int) (T, error)) ([]T, er
 	if workers == 1 {
 		for i := 0; i < trials; i++ {
 			var err error
-			if results[i], err = run(i); err != nil {
+			if results[i], err = call(run, i); err != nil {
 				return nil, err
 			}
 		}
@@ -65,7 +72,7 @@ func Trials[T any](workers, trials int, run func(trial int) (T, error)) ([]T, er
 				if i >= trials || failed.Load() {
 					return
 				}
-				res, err := run(i)
+				res, err := call(run, i)
 				if err != nil {
 					failed.Store(true)
 					mu.Lock()
@@ -84,6 +91,16 @@ func Trials[T any](workers, trials int, run func(trial int) (T, error)) ([]T, er
 		return nil, retErr
 	}
 	return results, nil
+}
+
+// call runs trial i, turning a panic into the trial's error.
+func call[T any](run func(trial int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("par: trial %d panicked: %v", i, r)
+		}
+	}()
+	return run(i)
 }
 
 // Streamed couples a trial index with its result (or the error that trial
@@ -116,7 +133,8 @@ type Streamed[T any] struct {
 // undelivered index (a cancellation arriving after every result was
 // delivered yields nothing — the stream completed). Unlike Trials, a trial
 // error does not cancel the remaining trials — it is yielded like any other
-// item, and the consumer decides whether to keep ranging.
+// item, and the consumer decides whether to keep ranging. A panicking trial
+// is yielded with the error described in the package comment.
 func Stream[T any](ctx context.Context, workers, trials int, run func(trial int) (T, error)) iter.Seq[Streamed[T]] {
 	return func(yield func(Streamed[T]) bool) {
 		if trials <= 0 {
@@ -137,7 +155,7 @@ func Stream[T any](ctx context.Context, workers, trials int, run func(trial int)
 					yield(Streamed[T]{Index: i, Err: err})
 					return
 				}
-				v, err := run(i)
+				v, err := call(run, i)
 				if !yield(Streamed[T]{Index: i, Value: v, Err: err}) {
 					return
 				}
@@ -167,7 +185,7 @@ func Stream[T any](ctx context.Context, workers, trials int, run func(trial int)
 					if i >= trials {
 						return
 					}
-					v, err := run(i)
+					v, err := call(run, i)
 					select {
 					case results <- Streamed[T]{Index: i, Value: v, Err: err}:
 					case <-done:

@@ -3,6 +3,8 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -97,5 +99,91 @@ func TestStreamZeroTrials(t *testing.T) {
 	t.Parallel()
 	for range Stream(context.Background(), 4, 0, func(i int) (int, error) { return i, nil }) {
 		t.Fatal("zero-trial stream yielded")
+	}
+}
+
+func TestTrialsOrderAndCoverage(t *testing.T) {
+	t.Parallel()
+	got, err := Trials(8, 100, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 {
+		t.Fatalf("got %d results, want 100", len(got))
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result %d = %d, want %d (results must land at their trial index)", i, v, i*i)
+		}
+	}
+}
+
+func TestTrialsEdgeCases(t *testing.T) {
+	t.Parallel()
+	if got, err := Trials(4, 0, func(int) (int, error) { return 0, nil }); err != nil || got != nil {
+		t.Errorf("zero trials: got %v, %v", got, err)
+	}
+	// More workers than trials must still cover every index exactly once.
+	got, err := Trials(64, 3, func(i int) (int, error) { return i, nil })
+	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("workers > trials: got %v, %v", got, err)
+	}
+}
+
+func TestTrialsPropagatesError(t *testing.T) {
+	t.Parallel()
+	boom := errors.New("boom")
+	_, err := Trials(8, 50, func(i int) (int, error) {
+		if i%7 == 3 {
+			return 0, boom
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("error not propagated: %v", err)
+	}
+}
+
+// TestTrialsRecoversPanics checks that a panicking trial fails the run with
+// an error naming the lowest panicking trial, inline and on goroutines.
+func TestTrialsRecoversPanics(t *testing.T) {
+	t.Parallel()
+	const want = "par: trial 3 panicked: trial 3 broke"
+	for _, workers := range []int{1, 2, 8} {
+		_, err := Trials(workers, 20, func(i int) (int, error) {
+			if i == 3 || i == 11 {
+				panic(fmt.Sprintf("trial %d broke", i))
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: error %v, want %q", workers, err, want)
+		}
+	}
+}
+
+// TestStreamRecoversPanics checks that a panicking trial is yielded as that
+// trial's error while the other trials still deliver, inline and on
+// goroutines.
+func TestStreamRecoversPanics(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{1, 2, 8} {
+		delivered := 0
+		var errs []string
+		for s := range Stream(context.Background(), workers, 20, func(i int) (int, error) {
+			if i == 5 {
+				panic("trial 5 broke")
+			}
+			return i, nil
+		}) {
+			if s.Err != nil {
+				errs = append(errs, s.Err.Error())
+				continue
+			}
+			delivered++
+		}
+		if want := []string{"par: trial 5 panicked: trial 5 broke"}; !slices.Equal(errs, want) || delivered != 19 {
+			t.Errorf("workers=%d: errors %q and %d values, want %q and 19", workers, errs, delivered, want)
+		}
 	}
 }

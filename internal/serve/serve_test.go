@@ -256,19 +256,20 @@ func TestTrialsEndpoint(t *testing.T) {
 	}
 }
 
+var sweepBody = SweepRequest{
+	ID:         "s-1",
+	Topologies: []TopologySpec{{Name: "ring", N: 3}},
+	Algorithms: []string{dining.GDP1, dining.OrderedForks},
+	Trials:     2,
+	MaxSteps:   2000,
+}
+
 // TestSweepEndpoint checks /v1/sweep: one scenario line per grid cell, the
 // expanded grid echoed on every line.
 func TestSweepEndpoint(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Options{})
-	req := SweepRequest{
-		ID:         "s-1",
-		Topologies: []TopologySpec{{Name: "ring", N: 3}},
-		Algorithms: []string{dining.GDP1, dining.OrderedForks},
-		Trials:     2,
-		MaxSteps:   2000,
-	}
-	code, events := post(t, ts, "/v1/sweep", req)
+	code, events := post(t, ts, "/v1/sweep", sweepBody)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -295,24 +296,28 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// badRequests are malformed requests, each rejected before any work starts.
+var badRequests = []struct {
+	name string
+	path string
+	body any
+}{
+	{"unknown topology", "/v1/check", Request{Topology: "moebius", Algorithm: dining.LR1}},
+	{"unknown algorithm", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: "nope"}},
+	{"unknown property", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Props: []string{"nope"}}},
+	{"unknown field", "/v1/check", map[string]any{"topology": "ring", "n": 3, "algorithm": dining.LR1, "shardz": 4}},
+	{"too small topology", "/v1/check", Request{Topology: "ring", N: 1, Algorithm: dining.LR1}},
+	{"empty sweep", "/v1/sweep", SweepRequest{}},
+	{"unknown sweep topology", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "moebius"}}, Algorithms: []string{dining.LR1}}},
+	{"too small sweep topology", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring-chord", N: 2}}, Algorithms: []string{dining.LR1}}},
+}
+
 // TestBadRequests checks the validation path: every malformed request gets
 // a 400 with a single NDJSON error event carrying a request id.
 func TestBadRequests(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Options{})
-	cases := []struct {
-		name string
-		path string
-		body any
-	}{
-		{"unknown topology", "/v1/check", Request{Topology: "moebius", Algorithm: dining.LR1}},
-		{"unknown algorithm", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: "nope"}},
-		{"unknown property", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Props: []string{"nope"}}},
-		{"unknown field", "/v1/check", map[string]any{"topology": "ring", "n": 3, "algorithm": dining.LR1, "shardz": 4}},
-		{"empty sweep", "/v1/sweep", SweepRequest{}},
-		{"unknown sweep topology", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "moebius"}}, Algorithms: []string{dining.LR1}}},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		code, events := post(t, ts, tc.path, tc.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
