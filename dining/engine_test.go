@@ -158,7 +158,22 @@ func TestEngineRunConcurrent(t *testing.T) {
 		t.Error("RunConcurrent accepted an algorithm without a concurrent implementation")
 	}
 
-	eng, err = dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7),
+	eng, err = dining.New(dining.Ring(5), dining.GDP2, dining.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := eng.RunConcurrent(context.Background(), 5*time.Second, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metrics.Starved) != 0 {
+		t.Errorf("starved philosophers: %v", metrics.Starved)
+	}
+}
+
+func TestEngineRunConcurrentFaults(t *testing.T) {
+	t.Parallel()
+	eng, err := dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7),
 		dining.WithFaults("crash-rejoin:0.2,0.5"))
 	if err != nil {
 		t.Fatal(err)

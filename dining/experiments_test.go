@@ -30,6 +30,10 @@ func TestExperimentRegistry(t *testing.T) {
 	if _, err := dining.RunExperiments(dining.ExperimentConfig{Quick: true}, "E-F1", "E-NOPE"); err == nil {
 		t.Error("RunExperiments accepted an unknown id")
 	}
+}
+
+func TestRunFigure1Experiment(t *testing.T) {
+	t.Parallel()
 	tables, err := dining.RunExperiments(dining.ExperimentConfig{Quick: true, Seed: 1}, "E-F1")
 	if err != nil {
 		t.Fatal(err)
